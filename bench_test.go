@@ -1,17 +1,16 @@
 package meshlab
 
 // The bench harness regenerates every table and figure of the thesis's
-// evaluation, one benchmark per artifact (ExperimentIDs lists the index;
-// PERF.md records the optimization trajectory). Each iteration runs the
-// experiment end to end against a shared quick-scale fleet, so the
-// reported ns/op is the cost of regenerating that artifact from raw
-// probe/client data (with the context's memoized routing solutions reset
-// each iteration via a fresh Analysis).
+// evaluation (BenchmarkExperiment, one sub-benchmark per artifact;
+// ExperimentIDs lists the index, PERF.md records the optimization
+// trajectory), streams the full suite from a dataset file, and times the
+// hot kernels underneath.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,6 +23,7 @@ import (
 	"meshlab/internal/rng"
 	"meshlab/internal/routing"
 	"meshlab/internal/snr"
+	"meshlab/internal/wire"
 )
 
 var benchOnce sync.Once
@@ -43,67 +43,28 @@ func benchmarkFleet(b testing.TB) *Fleet {
 	return benchFleet
 }
 
-// benchExperiment runs one artifact's regeneration per iteration.
-func benchExperiment(b *testing.B, id string) {
+// BenchmarkExperiment regenerates each artifact on its own, one
+// sub-benchmark per experiment ID (`-bench 'BenchmarkExperiment/fig5\.1$'`),
+// plus the full suite as "all". Each iteration runs AnalyzeFleet over the
+// shared quick-scale fleet with just that selection, so ns/op is the cost
+// of regenerating the artifact from raw probe/client data: the
+// experiment's own per-network work and its finalize.
+func BenchmarkExperiment(b *testing.B) {
 	fleet := benchmarkFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewAnalysis(fleet)
-		if _, err := a.Run(id); err != nil {
-			b.Fatal(err)
+	for _, id := range append(ExperimentIDs(), "all") {
+		ids := []string{id}
+		if id == "all" {
+			ids = nil
 		}
+		b.Run(id, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := AnalyzeFleet(fleet, ids...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// Chapter 3 — the data.
-
-func BenchmarkFig3_1(b *testing.B) { benchExperiment(b, "fig3.1") }
-
-// Chapter 4 — bit rate analysis.
-
-func BenchmarkFig4_1(b *testing.B)   { benchExperiment(b, "fig4.1") }
-func BenchmarkFig4_2(b *testing.B)   { benchExperiment(b, "fig4.2") }
-func BenchmarkFig4_3(b *testing.B)   { benchExperiment(b, "fig4.3") }
-func BenchmarkFig4_4(b *testing.B)   { benchExperiment(b, "fig4.4") }
-func BenchmarkFig4_5(b *testing.B)   { benchExperiment(b, "fig4.5") }
-func BenchmarkFig4_6(b *testing.B)   { benchExperiment(b, "fig4.6") }
-func BenchmarkTable4_1(b *testing.B) { benchExperiment(b, "tab4.1") }
-
-// Chapter 5 — opportunistic routing.
-
-func BenchmarkFig5_1(b *testing.B) { benchExperiment(b, "fig5.1") }
-func BenchmarkFig5_2(b *testing.B) { benchExperiment(b, "fig5.2") }
-func BenchmarkFig5_3(b *testing.B) { benchExperiment(b, "fig5.3") }
-func BenchmarkFig5_4(b *testing.B) { benchExperiment(b, "fig5.4") }
-func BenchmarkFig5_5(b *testing.B) { benchExperiment(b, "fig5.5") }
-
-// Chapter 6 — hidden triples.
-
-func BenchmarkFig6_1(b *testing.B) { benchExperiment(b, "fig6.1") }
-func BenchmarkFig6_2(b *testing.B) { benchExperiment(b, "fig6.2") }
-func BenchmarkSec6_3(b *testing.B) { benchExperiment(b, "sec6.3") }
-
-// Chapter 7 — mobility.
-
-func BenchmarkFig7_1(b *testing.B) { benchExperiment(b, "fig7.1") }
-func BenchmarkFig7_2(b *testing.B) { benchExperiment(b, "fig7.2") }
-func BenchmarkFig7_3(b *testing.B) { benchExperiment(b, "fig7.3") }
-func BenchmarkFig7_4(b *testing.B) { benchExperiment(b, "fig7.4") }
-func BenchmarkFig7_5(b *testing.B) { benchExperiment(b, "fig7.5") }
-
-// Ablations — design-choice validation (see the internal/experiments
-// ablation runners).
-
-func BenchmarkAblationOffsets(b *testing.B)   { benchExperiment(b, "abl4.off") }
-func BenchmarkAblationBursts(b *testing.B)    { benchExperiment(b, "abl4.burst") }
-func BenchmarkAblationSymmetry(b *testing.B)  { benchExperiment(b, "abl5.sym") }
-func BenchmarkAblationThreshold(b *testing.B) { benchExperiment(b, "abl6.t") }
-
-// Extensions — ETT routing and MAC-level hidden-terminal cost.
-
-func BenchmarkExtTopK(b *testing.B) { benchExperiment(b, "ext4.topk") }
-func BenchmarkExtETT(b *testing.B)  { benchExperiment(b, "ext5.ett") }
-func BenchmarkExtMAC(b *testing.B)  { benchExperiment(b, "ext6.mac") }
 
 // End-to-end substrate costs.
 
@@ -177,30 +138,6 @@ func BenchmarkCoverage(b *testing.B) {
 	}
 }
 
-func BenchmarkRunAllExperiments(b *testing.B) {
-	fleet := benchmarkFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalysis(fleet).RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllExperimentsParallel is the parallel counterpart of
-// BenchmarkRunAllExperiments: same work, fanned across GOMAXPROCS
-// workers. On a single core it should match the serial run; on multicore
-// it should scale with the worker pool.
-func BenchmarkRunAllExperimentsParallel(b *testing.B) {
-	fleet := benchmarkFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalysis(fleet).RunAllParallel(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // streamingDataset writes the shared bench fleet (with the flat-sample
 // section) to a temp file for the streaming-suite benchmarks and tests.
 func streamingDataset(b testing.TB) string {
@@ -212,9 +149,9 @@ func streamingDataset(b testing.TB) string {
 }
 
 // BenchmarkRunAllStreaming is the full suite through the single-pass
-// streaming walk (decode + derive + finalize per iteration), the
-// counterpart of BenchmarkRunAllExperimentsParallel for the -dataset
-// path; the PERF.md PR 4 tables track it against the materialized run.
+// streaming walk of a dataset file (decode + derive + finalize per
+// iteration), the -data/-dataset path; BenchmarkExperiment/all is the
+// same suite over the in-memory fleet.
 func BenchmarkRunAllStreaming(b *testing.B) {
 	path := streamingDataset(b)
 	b.ResetTimer()
@@ -229,8 +166,7 @@ func BenchmarkRunAllStreaming(b *testing.B) {
 // -sec4 way — chunked sample groups through incremental accumulators —
 // sampling the live heap mid-walk. The reported peak-live-B metric is
 // the path's memory bound: count/histogram tables plus one in-flight
-// group, independent of sample count. Compare
-// BenchmarkSec4MaterializedPeakHeap.
+// group, independent of sample count.
 func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 	path := streamingDataset(b)
 	ids := SampleExperimentIDs()
@@ -269,30 +205,20 @@ func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak-live-B")
 }
 
-// BenchmarkSec4MaterializedPeakHeap is the pre-chunked §4 path for
-// comparison: materialize every sample, then analyze. Its peak live heap
-// scales with sample count.
-func BenchmarkSec4MaterializedPeakHeap(b *testing.B) {
-	path := streamingDataset(b)
-	var peak uint64
-	for i := 0; i < b.N; i++ {
-		base := liveHeap()
-		samples, err := LoadSamples(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := NewSampleAnalysis(samples)
-		for _, id := range SampleExperimentIDs() {
-			if _, err := a.Run(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if h := liveHeap() - base; h > peak {
-			peak = h
-		}
-		runtime.KeepAlive(samples)
+// readSamples materializes a binary dataset's per-band §4 samples, the
+// baseline the chunked paths are measured against.
+func readSamples(t testing.TB, path string) map[string][]snr.Sample {
+	t.Helper()
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ReportMetric(float64(peak), "peak-live-B")
+	defer file.Close()
+	samples, err := wire.ReadSamples(bufio.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }
 
 // liveHeap forces a full collection and returns the surviving heap bytes.
@@ -334,10 +260,7 @@ func TestStreamingDoesNotMaterializeFleet(t *testing.T) {
 	}
 	afterLoad := int64(liveHeap())
 
-	samples, err := LoadSamples(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := readSamples(t, path)
 	afterSamples := int64(liveHeap())
 
 	if sum.MaxLiveNetworks >= sum.Networks || sum.MaxLiveNetworks > 2+2 {

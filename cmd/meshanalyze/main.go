@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"meshlab"
@@ -139,6 +140,11 @@ func run(args []string, stdout io.Writer) error {
 	if *resume && *ckdir == "" {
 		return usagef("-resume needs -checkpoint DIR to resume from")
 	}
+	// Every mode takes the same experiment selection, validated once.
+	ids, err := selectIDs(*exp, *sec4)
+	if err != nil {
+		return err
+	}
 	if *scen != "" {
 		if *data != "" {
 			return usagef("-scenario and -data are mutually exclusive: the spec declares a dataset, the file provides one (use meshreport -scenario -data to validate a file against a scenario)")
@@ -164,31 +170,47 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *sec4 {
-		return runSampleOnly(stdout, *data, *exp, *plot, *workers)
+		return runSampleOnly(stdout, *data, ids, *plot, *workers)
 	}
 
 	fleet, err := loadOrGenerate(*data, *scen, *seed)
 	if err != nil {
 		return err
 	}
-	a := meshlab.NewAnalysis(fleet)
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = meshlab.ExperimentIDs()
+	// One run for every requested experiment, so experiments that share
+	// per-network work (routing, censuses) compute it once.
+	results, err := meshlab.AnalyzeFleet(fleet, ids...)
+	if err != nil {
+		return err
 	}
-	for _, id := range ids {
-		res, err := a.Run(id)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		fmt.Fprint(stdout, res.Format())
 		if *plot {
-			renderPlot(stdout, a, id)
+			renderPlot(stdout, fleet, res.ID)
 		}
 		fmt.Fprintln(stdout)
 	}
 	return nil
+}
+
+// selectIDs resolves -exp into the experiments to run: nil for the full
+// suite (the §4 population under -sec4), otherwise the one named
+// experiment. An unknown ID, or one -sec4 cannot run, is a usage error.
+func selectIDs(exp string, sec4 bool) ([]string, error) {
+	if exp == "all" {
+		if sec4 {
+			return meshlab.SampleExperimentIDs(), nil
+		}
+		return nil, nil
+	}
+	if !slices.Contains(meshlab.ExperimentIDs(), exp) {
+		return nil, usagef("unknown experiment %q (see -list)", exp)
+	}
+	if sec4 && !meshlab.SampleOnlyExperiment(exp) {
+		return nil, usagef("experiment %s needs the full fleet; -sec4 can only run %s (drop -sec4 to materialize the dataset)",
+			exp, strings.Join(meshlab.SampleExperimentIDs(), ", "))
+	}
+	return []string{exp}, nil
 }
 
 // runSharded is the -shards mode: the full suite over a fault-tolerant
@@ -205,20 +227,15 @@ func runSharded(stdout io.Writer, data, exp string, plot bool, so meshlab.ShardO
 	if res.Manifest.Degraded || res.Manifest.CheckpointNotes() {
 		fmt.Fprint(os.Stderr, res.Manifest.Format())
 	}
-	printed := false
 	for _, r := range res.Results {
 		if exp != "all" && r.ID != exp {
 			continue
 		}
-		printed = true
 		fmt.Fprint(stdout, r.Format())
 		if plot {
 			fmt.Fprintln(stdout, "(no plot in sharded mode)")
 		}
 		fmt.Fprintln(stdout)
-	}
-	if !printed {
-		return usagef("unknown experiment %q (see -list)", exp)
 	}
 	return nil
 }
@@ -226,26 +243,9 @@ func runSharded(stdout io.Writer, data, exp string, plot bool, so meshlab.ShardO
 // runSampleOnly is the -sec4 mode: the §4 sample-only experiments over a
 // chunked sample-group stream, never materializing the fleet or the
 // samples.
-func runSampleOnly(stdout io.Writer, data, exp string, plot bool, workers int) error {
+func runSampleOnly(stdout io.Writer, data string, ids []string, plot bool, workers int) error {
 	if data == "" {
-		return fmt.Errorf("-sec4 streams samples from a dataset file: pass -data fleet.bin (generate one with `meshgen -out fleet.bin -flat-samples`)")
-	}
-	ids := []string{exp}
-	if exp == "all" {
-		ids = meshlab.SampleExperimentIDs()
-	}
-	known := make(map[string]bool)
-	for _, id := range meshlab.ExperimentIDs() {
-		known[id] = true
-	}
-	for _, id := range ids {
-		if !known[id] {
-			return fmt.Errorf("unknown experiment %q (see -list)", id)
-		}
-		if !meshlab.SampleOnlyExperiment(id) {
-			return fmt.Errorf("experiment %s needs the full fleet; -sec4 can only run %s (drop -sec4 to materialize the dataset)",
-				id, strings.Join(meshlab.SampleExperimentIDs(), ", "))
-		}
+		return usagef("-sec4 streams samples from a dataset file: pass -data fleet.bin (generate one with `meshgen -out fleet.bin -flat-samples`)")
 	}
 	results, err := meshlab.StreamSampleExperiments(data, ids, workers)
 	if err != nil {
@@ -278,30 +278,29 @@ func loadOrGenerate(path, scen string, seed uint64) (*meshlab.Fleet, error) {
 }
 
 // renderPlot draws the figure's primary distribution for the experiments
-// where a terminal CDF is meaningful.
-func renderPlot(stdout io.Writer, a *meshlab.Analysis, id string) {
+// where a terminal CDF is meaningful, computed straight from the fleet.
+func renderPlot(stdout io.Writer, f *meshlab.Fleet, id string) {
+	ri := phy.BandBG.RateIndex("1M")
 	switch id {
 	case "fig5.1":
-		ri := phy.BandBG.RateIndex("1M")
 		var imps []float64
-		for _, nd := range a.Fleet.ByBand("bg") {
+		for _, nd := range f.ByBand("bg") {
 			if nd.NumAPs() < 5 {
 				continue
 			}
-			prs, err := a.Improvements(nd, ri, routing.ETX1)
+			ms, err := routing.SuccessMatrices(nd)
 			if err != nil {
 				return
 			}
-			for _, pr := range prs {
+			for _, pr := range routing.Improvements(ms[ri], routing.ETX1) {
 				imps = append(imps, pr.Improvement)
 			}
 		}
 		fmt.Fprint(stdout, textplot.CDF(imps, 60, 14, "ETX1 improvement @1M"))
 	case "fig5.2":
 		var ratios []float64
-		ri := phy.BandBG.RateIndex("1M")
-		for _, nd := range a.Fleet.ByBand("bg") {
-			ms, err := a.Matrices(nd)
+		for _, nd := range f.ByBand("bg") {
+			ms, err := routing.SuccessMatrices(nd)
 			if err != nil {
 				return
 			}
@@ -310,7 +309,7 @@ func renderPlot(stdout io.Writer, a *meshlab.Analysis, id string) {
 		fmt.Fprint(stdout, textplot.CDF(ratios, 60, 14, "fwd/rev delivery ratio @1M"))
 	case "fig3.1":
 		var stds []float64
-		a.Fleet.EachProbeSet("", func(_ *dataset.NetworkData, _ *dataset.Link, ps *dataset.ProbeSet) {
+		f.EachProbeSet("", func(_ *dataset.NetworkData, _ *dataset.Link, ps *dataset.ProbeSet) {
 			stds = append(stds, float64(ps.SNRStd))
 		})
 		fmt.Fprint(stdout, textplot.CDF(stds, 60, 14, "intra-probe-set SNR std (dB)"))

@@ -90,11 +90,11 @@ func TestSec4StreamsSamples(t *testing.T) {
 	}
 
 	var want strings.Builder
-	res, err := meshlab.NewAnalysis(fleet).Run("fig4.2")
+	res, err := meshlab.AnalyzeFleet(fleet, "fig4.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.WriteString(res.Format())
+	want.WriteString(res[0].Format())
 	want.WriteString("\n")
 
 	for _, path := range []string{sampled, plain} {
@@ -181,6 +181,18 @@ func TestExitCodes(t *testing.T) {
 	}
 	if err := run([]string{"-shards", "2", "-sec4", "-data", "x.bin"}, &buf); exitCode(err) != 2 {
 		t.Fatalf("-shards with -sec4: exit %d (%v), want 2", exitCode(err), err)
+	}
+	// The experiment selection is a usage error in every mode.
+	for _, args := range [][]string{
+		{"-exp", "fig99.9"},
+		{"-exp", "fig99.9", "-sec4", "-data", "x.bin"},
+		{"-exp", "fig99.9", "-shards", "2", "-data", "x.bin"},
+		{"-sec4"},
+		{"-sec4", "-exp", "fig5.1", "-data", "x.bin"},
+	} {
+		if err := run(args, &buf); exitCode(err) != 2 {
+			t.Fatalf("%v: exit %d (%v), want 2", args, exitCode(err), err)
+		}
 	}
 	if exitCode(nil) != 0 {
 		t.Fatal("nil error must exit 0")

@@ -56,11 +56,11 @@ func TestRunFlatSamples(t *testing.T) {
 	if err := run([]string{"-seed", "4", "-out", out, "-flat-samples"}, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	_, samples, err := meshlab.LoadFleetSamples(out)
+	_, sum, err := meshlab.StreamFleet(out, meshlab.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) == 0 {
+	if !sum.FlatSamples || sum.SampleGroups == 0 {
 		t.Fatal("-flat-samples output carries no sample section")
 	}
 	if err := run([]string{"-out", "f.jsonl", "-flat-samples"}, &strings.Builder{}); err == nil {

@@ -8,9 +8,8 @@
 //	meshreport -data fleet.jsonl -out EXPERIMENTS.md
 //	meshreport -scale quick -workers 1 -out EXPERIMENTS.md   # serial scheduling
 //	meshreport -scale reference -dataset fleet.bin           # cache synthesis
-//	meshreport -scale reference -dataset fleet.bin -stream   # must stream, never regenerate
 //	meshreport -scenario dense-urban -dataset dense.bin      # declarative scenario, cached
-//	meshreport -scenario dense-urban -data dense.bin -stream # stream + validate identity
+//	meshreport -scenario dense-urban -data dense.bin         # stream + validate identity
 //
 // -scenario resolves a declarative spec (a built-in name or a file path;
 // schema: docs/SCENARIOS.md) in place of -scale. With -data, the walk
@@ -26,14 +25,14 @@
 // and later runs with the same seed/scale load it instead of
 // re-synthesizing (a mismatched or unreadable file is regenerated).
 //
-// Binary datasets run through the single-pass streaming suite
-// (meshlab.StreamFleet): networks are decoded, analyzed, and released one
-// bounded window at a time, so peak memory is the derived data, not the
-// fleet, and a cache's flat-sample section primes the §4 analysis so warm
-// starts skip re-flattening probe data. JSON-lines input and cache misses
-// fall back to materializing; -stream forbids that fallback and errors
-// with guidance instead, for runs that must stay within derived-data
-// memory. The report is byte-identical on every path (see docs/FORMAT.md).
+// Every input runs through one engine, the streaming accumulator suite.
+// Binary datasets stream (meshlab.StreamFleet): networks are decoded,
+// analyzed, and released one bounded window at a time, so peak memory is
+// the derived data, not the fleet, and a cache's flat-sample section
+// feeds the §4 analysis so warm starts skip re-flattening probe data.
+// JSON-lines input, cache misses, and direct generation hand an
+// in-memory fleet to the same engine (meshlab.AnalyzeFleet). The report
+// is byte-identical on every path (see docs/FORMAT.md).
 //
 // -shards N runs the suite as a fault-tolerant sharded stream over an
 // MLF2 -data file (or a directory of per-shard MLF2 files): transient
@@ -115,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		scale   = fs.String("scale", "quick", "generation scale when -data is empty: quick|reference")
 		out     = fs.String("out", "EXPERIMENTS.md", "output markdown path")
 		workers = fs.Int("workers", 0, "process-wide worker budget for every parallel kernel — synthesis, probe links, experiment scheduling, streaming decode (0: all cores, 1: effectively single-threaded)")
-		stream  = fs.Bool("stream", false, "require the single-pass streaming suite: error (with guidance) instead of materializing or regenerating when the dataset cannot stream")
 		shards  = fs.Int("shards", 0, "run the suite as N fault-tolerant shards over an MLF2 -data file or shard directory (0: single-pass)")
 		retries = fs.Int("max-retries", 3, "per-shard transient-failure retry budget (sharded mode)")
 		partial = fs.Bool("allow-partial", false, "complete a degraded report without quarantined shards, printing a coverage manifest to stderr (default: a corrupt shard is fatal)")
@@ -151,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 
 	// Resolve the generation identity: a scenario spec or the -scale/-seed
 	// knobs. ident labels the report; regen is the meshgen invocation
-	// -stream guidance quotes.
+	// mismatch guidance quotes.
 	var (
 		opts  meshlab.Options
 		sp    *scenario.Spec
@@ -203,7 +201,7 @@ func run(args []string, stdout io.Writer) error {
 		Shards: k, Workers: *workers, MaxRetries: *retries, AllowPartial: *partial,
 		CheckpointDir: *ckdir, CheckpointEvery: *ckevery, Resume: *resume,
 	}
-	results, sum, label, expDur, err := obtainResults(*data, *cache, opts, sp, ident, regen, *workers, *stream, k != 0, so)
+	results, sum, label, expDur, err := obtainResults(*data, *cache, opts, sp, ident, regen, *workers, k != 0, so)
 	if err != nil {
 		return err
 	}
@@ -220,17 +218,16 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // obtainResults produces the full suite's results plus a dataset summary
-// and label for the report preamble. Binary datasets run through the
-// single-pass streaming suite; everything else (JSON lines, cache misses,
-// direct generation) materializes a fleet — unless forceStream forbids
-// the fallback. opts is the resolved generation identity (from -scenario
-// or -scale/-seed), ident its short label, and regen the meshgen
-// invocation that guidance messages quote. A non-nil sp makes a -data
-// walk double as identity validation: the file must be the scenario's
-// dataset, and a mismatch is an error, never a silent reuse. The
-// returned duration covers experiment execution only (for streaming, the
-// walk is the execution).
-func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, ident, regen string, workers int, forceStream, sharded bool, so meshlab.ShardOptions) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
+// and label for the report preamble. Binary datasets stream; JSON lines,
+// cache misses, and direct generation run the same engine over an
+// in-memory fleet. opts is the resolved generation identity (from
+// -scenario or -scale/-seed), ident its short label, and regen the
+// meshgen invocation that guidance messages quote. A non-nil sp makes a
+// -data walk double as identity validation: the file must be the
+// scenario's dataset, and a mismatch is an error, never a silent reuse.
+// The returned duration covers experiment execution only (for streaming,
+// the walk is the execution).
+func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, ident, regen string, workers int, sharded bool, so meshlab.ShardOptions) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
 	if data != "" {
 		if sharded {
 			return runSharded(data, so)
@@ -253,18 +250,16 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 		case errors.Is(err, meshlab.ErrCacheMismatch):
 			return nil, nil, "", 0, fmt.Errorf(
 				"%s is not the %s dataset: %w\nregenerate it: `%s -flat-samples -out %s`", data, ident, err, regen, data)
-		case forceStream:
-			return nil, nil, "", 0, fmt.Errorf("-stream: %w", err)
 		case sp != nil, !errors.Is(err, meshlab.ErrNotStreamable):
 			// A scenario-validated walk never falls back to an
-			// unvalidated materialization.
+			// unvalidated load.
 			return nil, nil, "", 0, err
 		}
-		f, samples, err := meshlab.LoadFleetSamples(data)
+		f, err := meshlab.LoadFleet(data)
 		if err != nil {
 			return nil, nil, "", 0, err
 		}
-		return runMaterialized(f, samples, workers, data)
+		return analyzeFleet(f, data)
 	}
 	if cache != "" {
 		if opts.CacheValidatable() {
@@ -273,37 +268,27 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 			if err == nil {
 				return results, sum, fmt.Sprintf("%s (cache hit, synthesis skipped; streamed)", cache), time.Since(start), nil
 			}
-			if forceStream {
-				return nil, nil, "", 0, fmt.Errorf(
-					"-stream: %s cannot serve the streaming suite: %w\nregenerate it first: `%s -dataset %s` (or rerun without -stream to synthesize and materialize)",
-					cache, err, regen, cache)
-			}
 			// Any failure — missing file, mismatch, corruption — falls back
-			// to the materializing cache path, which regenerates.
-		} else if forceStream {
-			return nil, nil, "", 0, fmt.Errorf("-stream: these options cannot be validated against a cache file, so a streamed %s cannot be trusted", cache)
+			// to the load-or-generate path, which regenerates.
 		}
-		f, samples, hit, err := meshlab.LoadOrGenerateFleetSamples(cache, opts)
+		f, hit, err := meshlab.LoadOrGenerateFleet(cache, opts)
 		if err != nil {
 			return nil, nil, "", 0, err
 		}
 		switch {
 		case hit:
-			return runMaterialized(f, samples, workers, fmt.Sprintf("%s (cache hit, synthesis skipped)", cache))
+			return analyzeFleet(f, fmt.Sprintf("%s (cache hit, synthesis skipped)", cache))
 		case !opts.CacheValidatable():
-			return runMaterialized(f, nil, workers, fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident))
+			return analyzeFleet(f, fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident))
 		default:
-			return runMaterialized(f, samples, workers, fmt.Sprintf("%s (cache written: %s)", cache, ident))
+			return analyzeFleet(f, fmt.Sprintf("%s (cache written: %s)", cache, ident))
 		}
-	}
-	if forceStream {
-		return nil, nil, "", 0, fmt.Errorf("-stream needs a dataset to walk: pass -data fleet.bin or -dataset cache.bin")
 	}
 	f, err := meshlab.GenerateFleet(opts)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	return runMaterialized(f, nil, workers, fmt.Sprintf("generated in-memory (%s)", ident))
+	return analyzeFleet(f, fmt.Sprintf("generated in-memory (%s)", ident))
 }
 
 // runSharded runs the suite as a fault-tolerant sharded stream. The
@@ -331,31 +316,20 @@ func runSharded(data string, so meshlab.ShardOptions) ([]*meshlab.Result, *meshl
 	return res.Results, sum, label, time.Since(start), nil
 }
 
-// runMaterialized runs the suite over an in-memory fleet, priming any
-// flat samples a dataset load carried, and summarizes the fleet for the
-// report preamble.
-func runMaterialized(f *meshlab.Fleet, samples meshlab.FleetSamples, workers int, label string) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
-	a := meshlab.NewAnalysis(f)
-	// A dataset file's flat-sample section replaces the §4 flattening
-	// pass; the samples are identical to what the analysis would derive.
-	for band, s := range samples {
-		a.PrimeSamples(band, s)
-	}
+// analyzeFleet runs the suite over an in-memory fleet and summarizes the
+// fleet for the report preamble.
+func analyzeFleet(f *meshlab.Fleet, label string) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
 	start := time.Now()
-	// The parallel runner produces byte-identical results in the same
-	// paper order, so the report does not depend on -workers.
-	results, err := a.RunAllParallel(workers)
+	results, err := meshlab.AnalyzeFleet(f)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
 	sum := &meshlab.StreamSummary{
-		Meta:            f.Meta,
-		Networks:        len(f.Networks),
-		NetworksBG:      len(f.ByBand("bg")),
-		NetworksN:       len(f.ByBand("n")),
-		ProbeSets:       f.NumProbeSets(),
-		FlatSamples:     samples != nil,
-		MaxLiveNetworks: len(f.Networks),
+		Meta:       f.Meta,
+		Networks:   len(f.Networks),
+		NetworksBG: len(f.ByBand("bg")),
+		NetworksN:  len(f.ByBand("n")),
+		ProbeSets:  f.NumProbeSets(),
 	}
 	return results, sum, label, time.Since(start), nil
 }

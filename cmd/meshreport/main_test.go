@@ -66,29 +66,47 @@ func TestGoldenQuickReport(t *testing.T) {
 	}
 }
 
-// TestStreamFlagErrors: -stream must never silently materialize or
-// regenerate; each unusable input gets an actionable error.
+// TestStreamFlagErrors: there is no -stream flag any more — every input
+// runs the same engine, so there is no fallback left to forbid. Passing
+// it is a usage error, and the inputs it used to reject (JSON lines, a
+// missing cache) report the same experiment sections as the streamed
+// binary file.
 func TestStreamFlagErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-stream", "-out", filepath.Join(dir, "a.md")}, &strings.Builder{}); err == nil {
-		t.Fatal("-stream without a dataset should error")
-	}
-	err := run([]string{"-stream", "-dataset", filepath.Join(dir, "missing.bin"), "-out", filepath.Join(dir, "b.md")}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "regenerate") {
-		t.Fatalf("missing cache under -stream should explain how to regenerate, got %v", err)
+	if err := run([]string{"-stream", "-out", filepath.Join(dir, "a.md")}, &strings.Builder{}); exitCode(err) != 2 {
+		t.Fatalf("-stream: exit %d (%v), want a usage error", exitCode(err), err)
 	}
 
-	fleet, genErr := meshlab.GenerateFleet(meshlab.QuickOptions(21))
-	if genErr != nil {
-		t.Fatal(genErr)
+	fleet, err := meshlab.GenerateFleet(meshlab.QuickOptions(21))
+	if err != nil {
+		t.Fatal(err)
 	}
 	jsonl := filepath.Join(dir, "fleet.jsonl")
 	if err := meshlab.SaveFleet(jsonl, fleet); err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"-stream", "-data", jsonl, "-out", filepath.Join(dir, "c.md")}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "streamable") {
-		t.Fatalf("JSONL under -stream should name the format problem, got %v", err)
+	bin := filepath.Join(dir, "fleet.bin")
+	if err := meshlab.SaveFleetWithSamples(bin, fleet); err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	for name, args := range map[string][]string{
+		"jsonl":         {"-data", jsonl},
+		"binary":        {"-data", bin},
+		"missing-cache": {"-seed", "21", "-scale", "quick", "-dataset", filepath.Join(dir, "missing.bin")},
+	} {
+		out := filepath.Join(dir, name+".md")
+		if err := run(append(args, "-out", out), &strings.Builder{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		md, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections[name] = string(md)[strings.Index(string(md), "\n## "):]
+	}
+	if sections["jsonl"] != sections["binary"] || sections["missing-cache"] != sections["binary"] {
+		t.Fatal("JSON-lines or cache-miss reports diverge from the streamed binary report")
 	}
 }
 
@@ -103,7 +121,7 @@ func TestStreamedWarmCache(t *testing.T) {
 	if err := run([]string{"-seed", "21", "-scale", "quick", "-dataset", cache, "-out", cold}, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-seed", "21", "-scale", "quick", "-dataset", cache, "-stream", "-out", warm}, &strings.Builder{}); err != nil {
+	if err := run([]string{"-seed", "21", "-scale", "quick", "-dataset", cache, "-out", warm}, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(cold)
@@ -378,7 +396,7 @@ func TestScenarioValidatesDataFile(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "a.md")
-	if err := run([]string{"-scenario", specA, "-data", data, "-stream", "-out", out}, &strings.Builder{}); err != nil {
+	if err := run([]string{"-scenario", specA, "-data", data, "-out", out}, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	md, err := os.ReadFile(out)

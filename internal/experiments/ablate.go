@@ -22,21 +22,33 @@ func init() {
 	registerShared("abl5.sym", "Ablation: link asymmetry drives the ETX1/ETX2 improvement gap", abl5sym)
 }
 
-// ablFleets caches ablation fleets process-wide: they are pure functions
-// of the variant name (fixed seed, fixed options), independent of the
-// context's fleet, so regenerating them per Context would only repeat
-// identical synthesis work.
-var ablFleets sync.Map // string → *memo[*dataset.Fleet]
-
-// ablationFleet generates (and caches, process-wide) a small probe-only
-// b/g fleet with the given radio-parameter mutation. Ablations
-// deliberately use their own fixed-seed fleets rather than the context's,
-// so that the default and ablated runs differ only in the mutated physics.
-func ablationFleet(name string, mutate func(*radio.Params)) (*dataset.Fleet, error) {
-	return memoCell[*dataset.Fleet](&ablFleets, name).get(func() (*dataset.Fleet, error) {
-		return generateAblationFleet(mutate)
-	})
+// ablationFleets holds each ablation variant's fleet: a small probe-only
+// b/g fleet with one radio-parameter mutation, generated at most once per
+// process. Ablations deliberately use their own fixed-seed fleets rather
+// than the run's, so that the default and ablated runs differ only in the
+// mutated physics — and since the fleets do not depend on the run,
+// regenerating them per run would only repeat identical synthesis work.
+var ablationFleets = map[string]func() (*dataset.Fleet, error){
+	"default":    onceAblationFleet(nil),
+	"no-offsets": onceAblationFleet(func(p *radio.Params) { p.DisableOffsets = true }),
+	"no-bursts":  onceAblationFleet(func(p *radio.Params) { p.DisableBursts = true }),
+	// Symmetric removes every per-direction divergence source: the
+	// explicit direction offset, the per-direction environment offsets,
+	// and interference bursts. Residual asymmetry is AR noise plus
+	// loss-report sampling error.
+	"symmetric": onceAblationFleet(func(p *radio.Params) {
+		p.DisableAsymmetry = true
+		p.DisableOffsets = true
+		p.DisableBursts = true
+	}),
 }
+
+func onceAblationFleet(mutate func(*radio.Params)) func() (*dataset.Fleet, error) {
+	return sync.OnceValues(func() (*dataset.Fleet, error) { return generateAblationFleet(mutate) })
+}
+
+// ablationFleet returns the named variant's fleet.
+func ablationFleet(name string) (*dataset.Fleet, error) { return ablationFleets[name]() }
 
 func generateAblationFleet(mutate func(*radio.Params)) (*dataset.Fleet, error) {
 	opts := synth.Options{
@@ -65,19 +77,13 @@ func generateAblationFleet(mutate func(*radio.Params)) (*dataset.Fleet, error) {
 
 // abl4off removes the hidden per-link environment offsets and measures how
 // much of per-link training's advantage over global training survives.
-func abl4off(shared) (*Result, error) {
+func abl4off(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "exact frac (global)", "exact frac (link)", "advantage (link−global)",
 	}}
 	var gaps []float64
-	for _, v := range []struct {
-		name   string
-		mutate func(*radio.Params)
-	}{
-		{"default", nil},
-		{"no-offsets", func(p *radio.Params) { p.DisableOffsets = true }},
-	} {
-		fleet, err := ablationFleet(v.name, v.mutate)
+	for _, variant := range []string{"default", "no-offsets"} {
+		fleet, err := ablationFleet(variant)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +95,7 @@ func abl4off(shared) (*Result, error) {
 		gap := pen[1].ExactFrac - pen[0].ExactFrac
 		gaps = append(gaps, gap)
 		res.Rows = append(res.Rows, []string{
-			v.name, f2(pen[0].ExactFrac), f2(pen[1].ExactFrac), f2(gap),
+			variant, f2(pen[0].ExactFrac), f2(pen[1].ExactFrac), f2(gap),
 		})
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
@@ -100,17 +106,11 @@ func abl4off(shared) (*Result, error) {
 
 // abl4burst removes interference bursts and measures how often an SNR's
 // optimal rate churns over time on a single link.
-func abl4burst(shared) (*Result, error) {
+func abl4burst(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"variant", "(link,SNR) cells", "frac cells with churn"}}
 	var churns []float64
-	for _, v := range []struct {
-		name   string
-		mutate func(*radio.Params)
-	}{
-		{"default", nil},
-		{"no-bursts", func(p *radio.Params) { p.DisableBursts = true }},
-	} {
-		fleet, err := ablationFleet(v.name, v.mutate)
+	for _, variant := range []string{"default", "no-bursts"} {
+		fleet, err := ablationFleet(variant)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func abl4burst(shared) (*Result, error) {
 			frac = float64(len(churned)) / float64(len(first))
 		}
 		churns = append(churns, frac)
-		res.Rows = append(res.Rows, []string{v.name, itoa(len(first)), f2(frac)})
+		res.Rows = append(res.Rows, []string{variant, itoa(len(first)), f2(frac)})
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"bursts (plus residual channel noise) cause same-SNR optimal-rate churn: %.2f with bursts vs %.2f without",
@@ -151,28 +151,14 @@ func abl4burst(shared) (*Result, error) {
 
 // abl5sym removes per-direction asymmetry and measures the ETX2-over-ETX1
 // improvement gap.
-func abl5sym(shared) (*Result, error) {
+func abl5sym(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "mean |log asym ratio|", "median improvement ETX1 @1M", "median improvement ETX2 @1M", "gap",
 	}}
 	ri := phy.BandBG.RateIndex("1M")
 	var gaps, asyms []float64
-	for _, v := range []struct {
-		name   string
-		mutate func(*radio.Params)
-	}{
-		{"default", nil},
-		// Symmetric removes every per-direction divergence source: the
-		// explicit direction offset, the per-direction environment
-		// offsets, and interference bursts. Residual asymmetry is AR
-		// noise plus loss-report sampling error.
-		{"symmetric", func(p *radio.Params) {
-			p.DisableAsymmetry = true
-			p.DisableOffsets = true
-			p.DisableBursts = true
-		}},
-	} {
-		fleet, err := ablationFleet(v.name, v.mutate)
+	for _, variant := range []string{"default", "symmetric"} {
+		fleet, err := ablationFleet(variant)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +201,7 @@ func abl5sym(shared) (*Result, error) {
 		gap := med[routing.ETX2] - med[routing.ETX1]
 		gaps = append(gaps, gap)
 		res.Rows = append(res.Rows, []string{
-			v.name, fmt.Sprintf("%.4f", asym),
+			variant, fmt.Sprintf("%.4f", asym),
 			fmt.Sprintf("%.4f", med[routing.ETX1]), fmt.Sprintf("%.4f", med[routing.ETX2]),
 			fmt.Sprintf("%.4f", gap),
 		})

@@ -64,12 +64,12 @@ func TestAblationSymmetry(t *testing.T) {
 
 func TestAblationFleetCached(t *testing.T) {
 	// The cache is process-wide: repeated requests — even across
-	// contexts — must return the same fleet instance.
-	a, err := ablationFleet("default", nil)
+	// runs — must return the same fleet instance.
+	a, err := ablationFleet("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ablationFleet("default", nil)
+	b, err := ablationFleet("default")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func (a *fig41Acc) observeSampleGroup(band string, samples []snr.Sample) error {
 	return nil
 }
 
-func (a *fig41Acc) finalize(shared) (*Result, error) {
+func (a *fig41Acc) finalize(*StreamContext) (*Result, error) {
 	sets := a.sets.Finalize()
 	sizeHist := map[int]int{}
 	single := 0
@@ -120,7 +120,7 @@ func (a *coverageAcc) observeSampleGroup(band string, samples []snr.Sample) erro
 	})
 }
 
-func (a *coverageAcc) finalize(shared) (*Result, error) {
+func (a *coverageAcc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"scope", "SNR cells", "mean rates@50%", "mean rates@80%", "mean rates@95%",
 		"frac SNRs 1 rate@95%", "frac SNRs ≤2 rates@95%",
@@ -188,7 +188,7 @@ func (a *fig44Acc) observeSampleGroup(band string, samples []snr.Sample) error {
 	return nil
 }
 
-func (a *fig44Acc) finalize(shared) (*Result, error) {
+func (a *fig44Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"band", "scope", "exact-hit frac", "median loss", "p75", "p90", "p95", "max (Mbit/s)",
 	}}
@@ -225,7 +225,7 @@ func (a *fig45Acc) observeSampleGroup(band string, samples []snr.Sample) error {
 	return nil
 }
 
-func (a *fig45Acc) finalize(shared) (*Result, error) {
+func (a *fig45Acc) finalize(*StreamContext) (*Result, error) {
 	pts := a.tput.Finalize()
 	res := &Result{Header: []string{"rate", "SNR (dB)", "median tput", "q1", "q3", "n"}}
 	for _, p := range pts {
@@ -259,7 +259,7 @@ func (a *fig46Acc) observeSampleGroup(band string, samples []snr.Sample) error {
 	return nil
 }
 
-func (a *fig46Acc) finalize(shared) (*Result, error) {
+func (a *fig46Acc) finalize(*StreamContext) (*Result, error) {
 	results := a.strat.Finalize()
 	res := &Result{Header: []string{"probe sets seen", "first", "most-recent", "subsampled", "all"}}
 	for _, x := range []int{1, 2, 3, 5, 10, 15, 20, 25, 30, 35} {
@@ -297,7 +297,7 @@ func (a *tab41Acc) observeSampleGroup(band string, samples []snr.Sample) error {
 	return nil
 }
 
-func (a *tab41Acc) finalize(shared) (*Result, error) {
+func (a *tab41Acc) finalize(*StreamContext) (*Result, error) {
 	results := a.strat.Finalize()
 	labels := map[snr.Strategy][2]string{
 		snr.First:      {"Low", "Small"},
@@ -319,12 +319,3 @@ func (a *tab41Acc) finalize(shared) (*Result, error) {
 		"orderings must hold: updates(first) < updates(subsampled) < updates(all); memory(first|most-recent) < memory(subsampled) < memory(all)")
 	return res, nil
 }
-
-// Single-band declarations (bandFiltered): a materialized Context run
-// skips flattening the band these accumulators discard. fig4.4 and
-// ext4.topk consume both bands and stay undeclared.
-func (a *fig41Acc) sampleBand() string    { return "bg" }
-func (a *coverageAcc) sampleBand() string { return a.band }
-func (a *fig45Acc) sampleBand() string    { return "bg" }
-func (a *fig46Acc) sampleBand() string    { return "bg" }
-func (a *tab41Acc) sampleBand() string    { return "bg" }

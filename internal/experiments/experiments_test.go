@@ -7,8 +7,13 @@ import (
 	"testing"
 
 	"meshlab/internal/dataset"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/synth"
 )
+
+// TestMain fails the package if a test leaves a pipeline goroutine — a
+// collector or a prepare worker — running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 var fleetOnce sync.Once
 var testFleet *dataset.Fleet
@@ -27,13 +32,48 @@ func quickFleet(t testing.TB) *dataset.Fleet {
 	return testFleet
 }
 
+// runFleet drives a StreamContext over an in-memory fleet the way
+// meshlab.AnalyzeFleet does.
+func runFleet(f *dataset.Fleet, workers int, ids ...string) ([]*Result, error) {
+	sc := NewStreamContext(workers, ids...)
+	for _, nd := range f.Networks {
+		if sc.Observe(nd) != nil {
+			break
+		}
+	}
+	sc.SetClients(f.Clients)
+	return sc.Finalize()
+}
+
+var (
+	suiteOnce    sync.Once
+	suiteResults []*Result
+	suiteErr     error
+)
+
+// fullSuite returns one cached full-suite run over the quick fleet.
+func fullSuite(t *testing.T) []*Result {
+	t.Helper()
+	suiteOnce.Do(func() { suiteResults, suiteErr = runFleet(quickFleet(t), 0) })
+	if suiteErr != nil {
+		t.Fatal(suiteErr)
+	}
+	return suiteResults
+}
+
+// runExp returns one experiment's table from the cached full-suite run.
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := NewContext(quickFleet(t)).Run(id)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	var res *Result
+	for _, r := range fullSuite(t) {
+		if r.ID == id {
+			res = r
+		}
 	}
-	if res.ID != id || res.Title == "" {
+	if res == nil {
+		t.Fatalf("%s: not in the suite", id)
+	}
+	if res.Title == "" {
 		t.Fatalf("%s: missing metadata: %+v", id, res)
 	}
 	if len(res.Rows) == 0 {
@@ -64,22 +104,42 @@ func TestIDsComplete(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment: an unknown ID is a sticky error from
+// construction, returned by whichever entry point the driver reaches
+// first — the walk's Observe, the sample walk's ObserveSampleGroup, or
+// Finalize.
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := NewContext(quickFleet(t)).Run("fig9.9"); err == nil {
-		t.Fatal("unknown experiment should error")
+	f := quickFleet(t)
+	const want = `unknown experiment "fig9.9" (known: fig3.1, `
+	if _, err := runFleet(f, 1, "fig3.1", "fig9.9"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fleet run: got %v, want %q", err, want)
+	}
+	sc := NewStreamContext(1, "fig9.9")
+	if err := sc.Observe(f.Networks[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Observe: got %v", err)
+	}
+	if _, err := sc.Finalize(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Finalize: got %v", err)
+	}
+	sc = NewStreamContext(1, "fig9.9")
+	sc.DeferSamples()
+	if err := sc.ObserveSampleGroup("bg", nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ObserveSampleGroup: got %v", err)
+	}
+	if _, err := sc.Finalize(); err == nil {
+		t.Fatal("Finalize after a sticky error should fail")
 	}
 }
 
 func TestRunAll(t *testing.T) {
-	ctx := NewContext(quickFleet(t))
-	results, err := ctx.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := fullSuite(t)
 	if len(results) != len(IDs()) {
 		t.Fatalf("got %d results for %d experiments", len(results), len(IDs()))
 	}
-	for _, r := range results {
+	for i, r := range results {
+		if r.ID != IDs()[i] {
+			t.Fatalf("result %d is %s, want paper order (%s)", i, r.ID, IDs()[i])
+		}
 		out := r.Format()
 		if !strings.Contains(out, r.ID) {
 			t.Fatalf("formatted output missing ID: %q", out[:60])
@@ -380,16 +440,6 @@ func TestLinkSeriesHelper(t *testing.T) {
 	}
 }
 
-func BenchmarkRunAllQuick(b *testing.B) {
-	f := quickFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewContext(f).RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestExt5ETTGainNonNegative(t *testing.T) {
 	res := runExp(t, "ext5.ett")
 	med := findRow(t, res, "median airtime gain of ETT over best fixed-rate ETX")
@@ -539,48 +589,27 @@ func TestFormatRowWiderThanHeader(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial is the §5-determinism contract: the
-// parallel runner must produce byte-identical tables to a serial run on
-// the same fleet, regardless of worker count. Run with -race to also
-// exercise the sharded memoization under concurrency.
+// TestRunAllParallelMatchesSerial is the determinism contract of the
+// fleet loop: a run over a 4-worker pipeline must produce byte-identical
+// tables to a 1-worker run on the same fleet. Run with -race to also
+// exercise the pipeline under concurrency.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	fleet := quickFleet(t)
-	serial, err := NewContext(fleet).RunAll()
+	serial, err := runFleet(fleet, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 3} {
-		parallel, err := NewContext(fleet).RunAllParallel(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d results vs %d serial", workers, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if got, want := parallel[i].Format(), serial[i].Format(); got != want {
-				t.Fatalf("workers=%d: %s diverged from serial run:\n--- parallel ---\n%s\n--- serial ---\n%s",
-					workers, serial[i].ID, got, want)
-			}
-		}
+	parallel, err := runFleet(fleet, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	compareRuns(t, "workers=4 vs workers=1", parallel, serial)
 }
 
 func TestRunAllParallelPropagatesErrors(t *testing.T) {
-	// An empty fleet makes several experiments fail; the parallel runner
-	// must surface an error rather than return partial results.
-	ctx := NewContext(&dataset.Fleet{})
-	if _, err := ctx.RunAllParallel(4); err == nil {
+	// An empty fleet makes several experiments fail; the run must surface
+	// an error rather than return partial results.
+	if _, err := runFleet(&dataset.Fleet{}, 4); err == nil {
 		t.Fatal("empty fleet should error")
-	}
-}
-
-func BenchmarkRunAllQuickParallel(b *testing.B) {
-	f := quickFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewContext(f).RunAllParallel(0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -56,7 +56,7 @@ func (a *ext4topkAcc) observeSampleGroup(band string, samples []snr.Sample) erro
 	return nil
 }
 
-func (a *ext4topkAcc) finalize(shared) (*Result, error) {
+func (a *ext4topkAcc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"band", "k", "optimum in top-k", "probing saved", "probe sets"}}
 	for i := range a.bands {
 		b := &a.bands[i]
@@ -107,7 +107,7 @@ func (a *ext5ettAcc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *ext5ettAcc) finalize(shared) (*Result, error) {
+func (a *ext5ettAcc) finalize(*StreamContext) (*Result, error) {
 	if len(a.gains) == 0 {
 		return nil, fmt.Errorf("no routable networks")
 	}
@@ -199,7 +199,7 @@ func (a *ext6macAcc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *ext6macAcc) finalize(shared) (*Result, error) {
+func (a *ext6macAcc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"triple population", "sampled", "mean throughput penalty", "median", "p90"}}
 	for _, pop := range []struct {
 		name string

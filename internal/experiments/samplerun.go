@@ -8,103 +8,46 @@ import (
 	"fmt"
 	"strings"
 
-	"meshlab/internal/conc"
-	"meshlab/internal/dataset"
-	"meshlab/internal/mobility"
 	"meshlab/internal/snr"
 )
 
 // SampleRun executes sample-only experiments (SampleOnly) over a stream
 // of per-network sample groups — typically a wire.Reader SampleGroups
 // walk — never materializing the samples: peak memory is the
-// accumulators' count/histogram tables plus one in-flight group. Results
-// are byte-identical to running the same experiments on a Context whose
-// samples concatenate the same groups.
-type SampleRun struct {
-	ids       []string
-	accs      []accumulator
-	obs       []sampleObserver
-	finalized bool
-}
+// accumulators' count/histogram tables plus one in-flight group. It is a
+// StreamContext that defers its samples and observes no network, so its
+// tables are byte-identical to the same experiments in a full-suite run
+// over the same data.
+type SampleRun struct{ sc *StreamContext }
 
 // NewSampleRun prepares a chunked run of the given experiment IDs, which
 // must all be sample-only (see SampleIDs).
 func NewSampleRun(ids []string) (*SampleRun, error) {
-	r := &SampleRun{}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("experiments: a sample run needs at least one of %s", strings.Join(SampleIDs(), ", "))
+	}
 	for _, id := range ids {
-		i, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+		if _, ok := byID[id]; !ok {
+			return nil, unknownExperiment(id)
 		}
-		if !registry[i].sampleOnly {
+		if !SampleOnly(id) {
 			return nil, fmt.Errorf("experiments: %s needs the full fleet; a sample run can only execute %s", id, strings.Join(SampleIDs(), ", "))
 		}
-		acc := registry[i].newAcc()
-		so, ok := acc.(sampleObserver)
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s is marked sample-only but does not consume sample groups", id)
-		}
-		r.ids = append(r.ids, id)
-		r.accs = append(r.accs, acc)
-		r.obs = append(r.obs, so)
 	}
-	return r, nil
+	sc := NewStreamContext(0, ids...)
+	sc.DeferSamples()
+	return &SampleRun{sc: sc}, nil
 }
 
 // ObserveGroup feeds one network's samples to every experiment in the
 // run, fanned across the process worker budget (accumulator states are
 // independent, so the results are byte-identical at any budget).
 func (r *SampleRun) ObserveGroup(band string, samples []snr.Sample) error {
-	if r.finalized {
-		return fmt.Errorf("experiments: ObserveGroup after Finalize")
-	}
-	return conc.ForEach(len(r.obs), func(i int) error {
-		if err := r.obs[i].observeSampleGroup(band, samples); err != nil {
-			return fmt.Errorf("experiments: %s: %w", r.ids[i], err)
-		}
-		return nil
-	})
+	return r.sc.ObserveSampleGroup(band, samples)
 }
 
 // Finalize renders every experiment in the order the run was built.
 func (r *SampleRun) Finalize() ([]*Result, error) {
-	if r.finalized {
-		return nil, fmt.Errorf("experiments: Finalize called twice")
-	}
-	r.finalized = true
-	results := make([]*Result, len(r.accs))
-	err := forEachParallel(len(r.accs), 0, func(i int) error {
-		res, err := r.accs[i].finalize(sampleOnlyShared{})
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", r.ids[i], err)
-		}
-		reg := registry[byID[r.ids[i]]]
-		res.ID = reg.id
-		res.Title = reg.title
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	r.sc.FinishSamples()
+	return r.sc.Finalize()
 }
-
-// sampleOnlyShared is the fleet-less shared state behind a SampleRun:
-// sample-only experiments consume groups, not the shared sample slices,
-// so the slices error loudly if anything asks.
-type sampleOnlyShared struct{}
-
-func (sampleOnlyShared) SamplesBG() ([]snr.Sample, error) {
-	return nil, fmt.Errorf("experiments: a chunked sample run does not materialize samples")
-}
-
-func (sampleOnlyShared) SamplesN() ([]snr.Sample, error) {
-	return nil, fmt.Errorf("experiments: a chunked sample run does not materialize samples")
-}
-
-func (sampleOnlyShared) analysis() *mobility.Analysis {
-	return mobility.Analyze(nil, mobility.DefaultGap)
-}
-
-func (sampleOnlyShared) clientData() []*dataset.ClientData { return nil }

@@ -13,8 +13,7 @@ package experiments
 // §3/§5/§6 censuses) serialize the exact prefix sequence — continuing
 // the walk from the next network reproduces the fleet-order appends.
 // Shared-only experiments carry no per-network state and serialize
-// nothing. The one exclusion: a MaterializeSamples run retains full raw
-// samples, which a checkpoint must never embed — Snapshot refuses it.
+// nothing.
 //
 // A snapshot must be taken from the driver goroutine between Observes
 // (or between sample groups), after Flush has quiesced the pipeline —
@@ -457,9 +456,6 @@ func (s *StreamContext) Flush() error {
 // networks/groups finalizes byte-identically to an uninterrupted run.
 // The context remains live and may continue observing.
 func (s *StreamContext) Snapshot(w io.Writer) error {
-	if s.materialize {
-		return fmt.Errorf("experiments: Snapshot of a MaterializeSamples run (retained raw samples are not checkpointable)")
-	}
 	if s.drained || s.finalized {
 		return fmt.Errorf("experiments: Snapshot after Drain/Finalize")
 	}

@@ -152,8 +152,8 @@ func TestStreamSnapshotResumeDeferredSamples(t *testing.T) {
 	}
 
 	want, _ := run(-1)
-	// Sanity: the group-fed deferred walk matches the primed path.
-	compareRuns(t, "group-fed-deferred", want, streamRun(t, f, 2, true))
+	// Sanity: the group-fed deferred walk matches the walk-flattened run.
+	compareRuns(t, "group-fed-deferred", want, streamRun(t, f, 2, false))
 
 	for _, snapAt := range []int{1, len(groups) / 2, len(groups) - 1} {
 		cont, snap := run(snapAt)
@@ -180,23 +180,14 @@ func TestStreamSnapshotResumeDeferredSamples(t *testing.T) {
 }
 
 // TestStreamSnapshotLifecycleAndCorruption pins the guardrails: refusal
-// on materialized/used contexts, and contextual errors (never panics,
+// on used or finalized contexts, and contextual errors (never panics,
 // never silent partial restores) on corrupt snapshots.
 func TestStreamSnapshotLifecycleAndCorruption(t *testing.T) {
 	f := quickFleet(t)
 
-	// A MaterializeSamples run retains raw samples and must refuse.
-	mat := NewStreamContext(1)
-	mat.MaterializeSamples()
-	if err := mat.Observe(f.Networks[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := mat.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("Snapshot of a MaterializeSamples run should refuse")
-	}
-
 	// Build a valid snapshot to corrupt.
 	sc := NewStreamContext(2)
+	defer sc.Drain()
 	for _, nd := range f.Networks[:2] {
 		if err := sc.Observe(nd); err != nil {
 			t.Fatal(err)

@@ -1,16 +1,14 @@
 package experiments
 
-// stream.go implements the single-pass execution mode of the experiment
-// suite. A StreamContext consumes a fleet one decoded network at a time
-// (typically fed by a wire.Reader walk — see meshlab.StreamFleet), runs
-// every registered experiment's accumulator over each network before the
-// network is released, and finalizes into the same []*Result a
-// materialized Context produces — byte-identical, since both modes
-// execute the identical accumulator code over identical per-network
-// inputs in identical fleet order. The §4 samples flow the same way:
-// per-network groups (flattened off the walk, or streamed from a file's
-// flat-sample section) feed chunked accumulators and are released, so
-// peak memory is bounded by the derived tables the accumulators retain
+// stream.go implements the experiment suite's one execution engine. A
+// StreamContext consumes a fleet one network at a time — decoded off a
+// wire.Reader walk (meshlab.StreamFleet, or one shard of internal/shard)
+// or taken from an in-memory fleet (meshlab.AnalyzeFleet) — runs every
+// selected experiment's accumulator over each network before the network
+// is released, and finalizes into []*Result. The §4 samples flow the same
+// way: per-network groups (flattened off the walk, or streamed from a
+// file's flat-sample section) feed chunked accumulators and are released,
+// so peak memory is bounded by the derived tables the accumulators retain
 // (improvement distributions, censuses, count/histogram tables) plus the
 // bounded window of in-flight networks — never by the fleet or the
 // sample count.
@@ -27,15 +25,6 @@ import (
 	"meshlab/internal/snr"
 )
 
-// derivedSource supplies a NetView's lazily computed per-network derived
-// data. The Context implementation memoizes fleet-wide; the streaming
-// implementation caches only while its network is alive.
-type derivedSource interface {
-	netMatrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error)
-	netImprovements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error)
-	netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error)
-}
-
 // NetView hands an observer one network plus its derived data — routing
 // success matrices, opportunistic-routing comparisons, hidden-triple
 // censuses — computed at most once per network no matter how many
@@ -43,7 +32,7 @@ type derivedSource interface {
 // hands each network's view to one goroutine at a time.
 type NetView struct {
 	nd *dataset.NetworkData
-	d  derivedSource
+	d  *streamDerived
 }
 
 // Data returns the decoded network.
@@ -96,8 +85,8 @@ func (d *streamDerived) netImprovements(nd *dataset.NetworkData, rate int, v rou
 		if err != nil {
 			d.impsErr = err
 		} else {
-			// All (rate, variant) pairs in one pass, mirroring
-			// Context.Improvements: the §5 figures sweep every pair anyway.
+			// All (rate, variant) pairs in one pass: the §5 figures sweep
+			// every pair anyway.
 			d.imps = make(map[impKey][]routing.PairResult, 2*len(ms))
 			for _, variant := range []routing.Variant{routing.ETX1, routing.ETX2} {
 				for ri, m := range ms {
@@ -140,18 +129,21 @@ type streamJob struct {
 	done chan struct{}
 }
 
-// StreamContext runs the full experiment suite over a single streaming
+// StreamContext runs a selection of experiments over a single streaming
 // walk of a fleet. The driver calls Observe once per network in fleet
-// order (from one goroutine), SetClients and optionally PrimeSamples for
-// the trailing sections, then Finalize for the results. Per-network heavy
-// work — routing solutions, improvement sweeps, triple censuses — fans
-// across a bounded worker pool while accumulator state is updated
-// strictly in fleet order, so the emitted results are byte-identical to
-// Context.RunAllParallel over the materialized fleet, at any pool size.
+// order (from one goroutine), SetClients and, on a DeferSamples run, the
+// sample groups for the trailing sections, then Finalize for the results.
+// Per-network heavy work — routing solutions, improvement sweeps, triple
+// censuses — fans across a bounded worker pool while accumulator state
+// is updated strictly in fleet order, so the emitted results are
+// byte-identical at any pool size.
 type StreamContext struct {
 	workers int
 	ids     []string
 	accs    []accumulator
+	// preparers are the selected accumulators with per-network work to
+	// do off the ordered path; a selection without any skips it.
+	preparers []preparer
 
 	start         sync.Once
 	jobs          chan *streamJob
@@ -168,81 +160,80 @@ type StreamContext struct {
 	// released with the network), or the driver defers to a dataset file's
 	// flat-sample section and streams its groups through
 	// ObserveSampleGroup after the walk (the section trails the network
-	// records on disk). Full samples are retained only under the explicit
-	// MaterializeSamples knob.
+	// records on disk). A selection without §4 experiments never flattens.
 	deferSamples bool
-	materialize  bool
 	samplesDone  bool
-	samples      map[string][]snr.Sample
 	sampleObs    []sampleObsAt
 
 	cds []*dataset.ClientData
-	mob memo[*mobility.Analysis]
+	// mob is the §7 mobility analysis of cds, computed on first use.
+	mob func() *mobility.Analysis
 
 	networks  int
 	drained   bool
 	finalized bool
 }
 
-// sampleObsAt pairs a §4 accumulator with its registry slot, for error
+// sampleObsAt pairs a §4 accumulator with its selection slot, for error
 // context.
 type sampleObsAt struct {
 	idx int
 	so  sampleObserver
 }
 
-// NewStreamContext prepares a streaming run of every registered
-// experiment. workers bounds the pipeline (≤ 0 means the process worker
-// budget); it also bounds how many decoded networks are in flight at
-// once.
-func NewStreamContext(workers int) *StreamContext {
+// NewStreamContext prepares a streaming run of the given experiments, in
+// the given order; with no IDs it runs the full suite in paper order.
+// Only the selected experiments' per-network work is done: a selection
+// without §4 experiments flattens no samples, and one without routing or
+// §6 experiments builds no routing matrix. An unknown ID is a sticky
+// error, returned by the first Observe, ObserveSampleGroup or Finalize.
+// workers bounds the pipeline (≤ 0 means the process worker budget); it
+// also bounds how many decoded networks are in flight at once.
+func NewStreamContext(workers int, ids ...string) *StreamContext {
 	if workers <= 0 {
 		workers = conc.Budget()
 	}
+	if len(ids) == 0 {
+		ids = IDs()
+	}
 	s := &StreamContext{
 		workers:       workers,
-		ids:           IDs(),
 		jobs:          make(chan *streamJob, workers),
 		collectorDone: make(chan struct{}),
 	}
 	s.idle = sync.NewCond(&s.mu)
-	for _, id := range s.ids {
-		s.accs = append(s.accs, registry[byID[id]].newAcc())
-	}
-	for i, acc := range s.accs {
-		if so, ok := acc.(sampleObserver); ok {
-			s.sampleObs = append(s.sampleObs, sampleObsAt{idx: i, so: so})
+	s.mob = sync.OnceValue(func() *mobility.Analysis {
+		return mobility.Analyze(s.cds, mobility.DefaultGap)
+	})
+	for _, id := range ids {
+		i, ok := byID[id]
+		if !ok {
+			s.err = unknownExperiment(id)
+			return s
 		}
+		acc := registry[i].newAcc()
+		if p, ok := acc.(preparer); ok {
+			s.preparers = append(s.preparers, p)
+		}
+		if so, ok := acc.(sampleObserver); ok {
+			s.sampleObs = append(s.sampleObs, sampleObsAt{idx: len(s.accs), so: so})
+		}
+		s.ids = append(s.ids, id)
+		s.accs = append(s.accs, acc)
 	}
 	return s
 }
 
 // DeferSamples declares that the §4 samples will arrive as groups via
-// ObserveSampleGroup (or PrimeSamples) after the walk — a dataset file's
-// flat-sample section — so the walk skips incremental flattening. Must
-// be called before the first Observe; the driver must then call
-// FinishSamples (directly or via PrimeSamples) before Finalize.
+// ObserveSampleGroup after the walk — a dataset file's flat-sample
+// section — so the walk skips incremental flattening. Must be called
+// before the first Observe; the driver must then call FinishSamples
+// before Finalize.
 func (s *StreamContext) DeferSamples() { s.deferSamples = true }
 
-// MaterializeSamples makes the run retain the full per-band §4 samples so
-// SamplesBG/SamplesN serve them, restoring the pre-chunked memory
-// profile. No registered experiment needs it — every §4 table consumes
-// groups — but an extension that genuinely needs global sample order can
-// opt in. Must be called before the first Observe.
-func (s *StreamContext) MaterializeSamples() {
-	s.materialize = true
-	if s.samples == nil {
-		s.samples = make(map[string][]snr.Sample, 2)
-	}
-}
-
-// feedSampleGroup hands one network's samples to every §4 accumulator
-// (fanned across the worker budget — their states are independent) and,
-// under MaterializeSamples, appends them to the retained per-band slices.
+// feedSampleGroup hands one network's samples to every §4 accumulator,
+// fanned across the worker budget — their states are independent.
 func (s *StreamContext) feedSampleGroup(band string, group []snr.Sample) error {
-	if s.materialize {
-		s.samples[band] = append(s.samples[band], group...)
-	}
 	return conc.ForEach(len(s.sampleObs), func(k int) error {
 		o := s.sampleObs[k]
 		if err := o.so.observeSampleGroup(band, group); err != nil {
@@ -263,6 +254,9 @@ func (s *StreamContext) ObserveSampleGroup(band string, samples []snr.Sample) er
 	if s.finalized {
 		return fmt.Errorf("experiments: ObserveSampleGroup after Finalize")
 	}
+	if err := s.loadErr(); err != nil {
+		return err
+	}
 	s.samplesDone = true
 	return s.feedSampleGroup(band, samples)
 }
@@ -272,22 +266,6 @@ func (s *StreamContext) ObserveSampleGroup(band string, samples []snr.Sample) er
 // emitting empty §4 tables; a section with zero groups is still
 // "complete".
 func (s *StreamContext) FinishSamples() { s.samplesDone = true }
-
-// PrimeSamples supplies one band's pre-flattened §4 samples, splitting
-// them into per-network groups for the chunked accumulators. The samples
-// must equal what snr.Flatten derives for the walked networks of that
-// band (dataset files guarantee this; see internal/wire). Unknown bands
-// are ignored. It is the materialized-slice compatibility form of
-// ObserveSampleGroup.
-func (s *StreamContext) PrimeSamples(band string, samples []snr.Sample) error {
-	if band != "bg" && band != "n" {
-		return nil
-	}
-	s.samplesDone = true
-	return snr.ForEachSampleGroup(samples, func(group []snr.Sample) error {
-		return s.feedSampleGroup(band, group)
-	})
-}
 
 // SetClients supplies the client datasets (the file section after the
 // networks). Must be called before Finalize.
@@ -332,15 +310,13 @@ func (s *StreamContext) Observe(nd *dataset.NetworkData) error {
 	return nil
 }
 
-// prepare runs on a pipeline worker: every accumulator that declares
-// expensive per-network work fills the view's derived cache here, off the
-// ordered path.
+// prepare runs on a pipeline worker: every selected accumulator that
+// declares expensive per-network work fills the view's derived cache
+// here, off the ordered path.
 func (s *StreamContext) prepare(nv *NetView) error {
-	for _, acc := range s.accs {
-		if p, ok := acc.(preparer); ok {
-			if err := p.prepare(nv); err != nil {
-				return err
-			}
+	for _, p := range s.preparers {
+		if err := p.prepare(nv); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -374,7 +350,7 @@ func (s *StreamContext) collect() {
 // chunked accumulators retain only their tables — so a section-less
 // stream is sample-bounded too.
 func (s *StreamContext) applyOrdered(nv *NetView) error {
-	if !s.deferSamples {
+	if !s.deferSamples && len(s.sampleObs) > 0 {
 		nd := nv.Data()
 		group, err := snr.Flatten([]*dataset.NetworkData{nd})
 		if err != nil {
@@ -403,10 +379,11 @@ func (s *StreamContext) Stats() (networks, maxInFlight int) {
 	return s.networks, s.maxInFlight
 }
 
-// Finalize drains the pipeline and renders every experiment, in paper
-// order, fanning finalizers across the worker pool. It must be called
-// exactly once, after the last Observe (and, on a DeferSamples run,
-// after the sample-group walk).
+// Finalize drains the pipeline and renders every selected experiment, in
+// selection order, fanning finalizers across the worker pool. It must be
+// called exactly once, after the last Observe (and, on a DeferSamples
+// run, after the sample-group walk); it also joins every goroutine the
+// run started, so it is the driver's cleanup on error paths too.
 func (s *StreamContext) Finalize() ([]*Result, error) {
 	if s.finalized {
 		return nil, fmt.Errorf("experiments: Finalize called twice")
@@ -419,7 +396,7 @@ func (s *StreamContext) Finalize() ([]*Result, error) {
 		return nil, fmt.Errorf("experiments: DeferSamples without a sample walk: the network walk skipped flattening but no flat-sample groups were observed (stream the section through ObserveSampleGroup, then FinishSamples)")
 	}
 	results := make([]*Result, len(s.accs))
-	err := forEachParallel(len(s.accs), s.workers, func(i int) error {
+	err := conc.ForEachN(len(s.accs), s.workers, func(i int) error {
 		res, err := s.accs[i].finalize(s)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
@@ -436,36 +413,8 @@ func (s *StreamContext) Finalize() ([]*Result, error) {
 	return results, nil
 }
 
-// shared interface: the streaming run's fleet-wide state.
+// analysis returns the §7 mobility analysis of the run's client data.
+func (s *StreamContext) analysis() *mobility.Analysis { return s.mob() }
 
-// materializedSamples serves a band's full sample slice, which a chunked
-// run deliberately does not retain: every registered §4 experiment
-// consumes groups instead. The explicit MaterializeSamples knob restores
-// retention for extensions that need global sample order.
-func (s *StreamContext) materializedSamples(band string) ([]snr.Sample, error) {
-	if !s.materialize {
-		return nil, fmt.Errorf("experiments: the chunked streaming run does not retain full §4 samples; call MaterializeSamples (meshlab: StreamOptions.MaterializeSamples) if an experiment needs global sample order")
-	}
-	return s.samples[band], nil
-}
-
-// SamplesBG returns the flattened 802.11b/g probe samples of the walk
-// (MaterializeSamples runs only).
-func (s *StreamContext) SamplesBG() ([]snr.Sample, error) {
-	return s.materializedSamples("bg")
-}
-
-// SamplesN returns the flattened 802.11n probe samples of the walk
-// (MaterializeSamples runs only).
-func (s *StreamContext) SamplesN() ([]snr.Sample, error) {
-	return s.materializedSamples("n")
-}
-
-func (s *StreamContext) analysis() *mobility.Analysis {
-	a, _ := s.mob.get(func() (*mobility.Analysis, error) {
-		return mobility.Analyze(s.cds, mobility.DefaultGap), nil
-	})
-	return a
-}
-
+// clientData returns the run's client datasets.
 func (s *StreamContext) clientData() []*dataset.ClientData { return s.cds }

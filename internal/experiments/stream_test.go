@@ -5,16 +5,16 @@ import (
 	"testing"
 
 	"meshlab/internal/dataset"
-	"meshlab/internal/hidden"
-	"meshlab/internal/snr"
 )
 
 // streamRun pushes a materialized fleet through a StreamContext the way a
-// wire.Reader walk would, returning the finalized results.
-func streamRun(t *testing.T, f *dataset.Fleet, workers int, prime bool) []*Result {
+// wire.Reader walk would, returning the finalized results. With deferred,
+// the §4 samples arrive after the walk as a file section's per-network
+// groups instead of being flattened off the walk.
+func streamRun(t *testing.T, f *dataset.Fleet, workers int, deferred bool) []*Result {
 	t.Helper()
 	sc := NewStreamContext(workers)
-	if prime {
+	if deferred {
 		sc.DeferSamples()
 	}
 	for _, nd := range f.Networks {
@@ -23,51 +23,19 @@ func streamRun(t *testing.T, f *dataset.Fleet, workers int, prime bool) []*Resul
 		}
 	}
 	sc.SetClients(f.Clients)
-	if prime {
-		for _, band := range []string{"bg", "n"} {
-			samples, err := snr.Flatten(f.ByBand(band))
-			if err != nil {
+	if deferred {
+		for _, g := range bandGroups(t, f) {
+			if err := sc.ObserveSampleGroup(g.band, g.samples); err != nil {
 				t.Fatal(err)
 			}
-			sc.PrimeSamples(band, samples)
 		}
+		sc.FinishSamples()
 	}
 	results, err := sc.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return results
-}
-
-// TestStreamMatchesContext is the suite-level oracle: a streaming run
-// must emit byte-identical results to the materialized parallel runner,
-// at any pipeline width, with samples flattened incrementally or primed.
-func TestStreamMatchesContext(t *testing.T) {
-	f := quickFleet(t)
-	want, err := NewContext(f).RunAllParallel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		prime   bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 4, false},
-		{"parallel-primed", 3, true},
-	} {
-		got := streamRun(t, f, cfg.workers, cfg.prime)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results vs %d", cfg.name, len(got), len(want))
-		}
-		for i := range want {
-			if g, w := got[i].Format(), want[i].Format(); g != w {
-				t.Fatalf("%s: %s diverged from the materialized run:\n--- stream ---\n%s\n--- context ---\n%s",
-					cfg.name, want[i].ID, g, w)
-			}
-		}
-	}
 }
 
 // TestStreamBoundedInFlight pins the memory contract: the pipeline never
@@ -99,7 +67,7 @@ func TestStreamBoundedInFlight(t *testing.T) {
 }
 
 // TestStreamLifecycleErrors: the context enforces its single-use walk
-// protocol and surfaces a deferred-but-never-primed sample section.
+// protocol and surfaces a deferred sample section that never arrived.
 func TestStreamLifecycleErrors(t *testing.T) {
 	f := quickFleet(t)
 
@@ -114,7 +82,7 @@ func TestStreamLifecycleErrors(t *testing.T) {
 		t.Fatal("double Finalize should error")
 	}
 
-	// DeferSamples with no PrimeSamples: the §4 experiments must fail
+	// DeferSamples with no sample groups: the §4 experiments must fail
 	// loudly instead of silently running on zero samples.
 	sc = NewStreamContext(1)
 	sc.DeferSamples()
@@ -125,39 +93,41 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	}
 	sc.SetClients(f.Clients)
 	if _, err := sc.Finalize(); err == nil {
-		t.Fatal("deferred-but-unprimed samples should fail Finalize")
+		t.Fatal("deferred samples that never arrived should fail Finalize")
 	}
 }
 
-// TestHiddenCensusParallelOracle: the context's §6 scan — which fans
-// every b/g network across the worker bound on the first census request —
-// must agree exactly, at any pool size, with the serial package-level
-// census.
-func TestHiddenCensusParallelOracle(t *testing.T) {
+// TestSelectionBoundsWork pins that a run's cost follows its selection:
+// a context that selects only fig7.1 builds no routing matrix and
+// flattens no samples. Each network below makes one of those steps fail
+// — a band without a rate table, a link to an AP that does not exist —
+// so the fig7.1 run succeeds only if it skipped both, while the full
+// suite fails on either.
+func TestSelectionBoundsWork(t *testing.T) {
 	f := quickFleet(t)
-	nets := f.ByBand("bg")
-	serial, err := hidden.AnalyzeAll(nets, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int32{1, 5} {
-		ctx := NewContext(f)
-		ctx.workers.Store(workers)
-		for i, nd := range nets {
-			nr, err := ctx.netHidden(nd, 0.10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(nr, serial[i]) {
-				t.Fatalf("workers=%d: context census for %s diverges from hidden.AnalyzeAll", workers, nd.Info.Name)
-			}
+	noRates := &dataset.NetworkData{Info: dataset.NetworkInfo{Name: "no-rates", Band: "zz"}}
+	badLink := *f.ByBand("bg")[0]
+	badLink.Info.Name = "bad-link"
+	badLink.Links = append([]*dataset.Link{{From: 0, To: len(badLink.Info.APs)}}, badLink.Links...)
+	bogus := []*dataset.NetworkData{noRates, &badLink}
+
+	for _, nd := range bogus {
+		if _, err := runFleet(&dataset.Fleet{Networks: []*dataset.NetworkData{nd}, Clients: f.Clients}, 1); err == nil {
+			t.Fatalf("%s: the full suite should fail on it (the premise of this test)", nd.Info.Name)
 		}
+	}
+	results, err := runFleet(&dataset.Fleet{Networks: bogus, Clients: f.Clients}, 1, "fig7.1")
+	if err != nil {
+		t.Fatalf("fig7.1 alone built a routing matrix or flattened samples: %v", err)
+	}
+	if len(results) != 1 || results[0].ID != "fig7.1" {
+		t.Fatalf("got %d results, want fig7.1 alone", len(results))
 	}
 }
 
 // TestSampleIDs: the sample-only population is exactly the §4 artifacts
-// plus the §4.5 extension, and runs against a fleet-less context primed
-// with samples.
+// plus the §4.5 extension, and a fleet-less SampleRun fed the file
+// section's groups reproduces their tables from the full suite.
 func TestSampleIDs(t *testing.T) {
 	want := []string{"fig4.1", "fig4.2", "fig4.3", "fig4.4", "fig4.5", "fig4.6", "tab4.1", "ext4.topk"}
 	if got := SampleIDs(); !reflect.DeepEqual(got, want) {
@@ -166,28 +136,32 @@ func TestSampleIDs(t *testing.T) {
 	if SampleOnly("fig5.1") || SampleOnly("nope") {
 		t.Fatal("fig5.1 and unknown IDs must not be sample-only")
 	}
-
-	f := quickFleet(t)
-	full := NewContext(f)
-	bare := NewContext(&dataset.Fleet{})
-	for _, band := range []string{"bg", "n"} {
-		samples, err := snr.Flatten(f.ByBand(band))
-		if err != nil {
-			t.Fatal(err)
+	for _, ids := range [][]string{{"fig5.1"}, {"nope"}, nil} {
+		if _, err := NewSampleRun(ids); err == nil {
+			t.Fatalf("NewSampleRun(%v) should be refused", ids)
 		}
-		bare.PrimeSamples(band, samples)
 	}
-	for _, id := range SampleIDs() {
-		a, err := bare.Run(id)
-		if err != nil {
-			t.Fatalf("%s on a sample-only context: %v", id, err)
-		}
-		b, err := full.Run(id)
-		if err != nil {
+
+	run, err := NewSampleRun(SampleIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range bandGroups(t, quickFleet(t)) {
+		if err := run.ObserveGroup(g.band, g.samples); err != nil {
 			t.Fatal(err)
 		}
-		if a.Format() != b.Format() {
-			t.Fatalf("%s diverges between sample-only and full context", id)
+	}
+	got, err := run.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[string]string{}
+	for _, r := range fullSuite(t) {
+		full[r.ID] = r.Format()
+	}
+	for i, id := range SampleIDs() {
+		if got[i].Format() != full[id] {
+			t.Fatalf("%s diverges between the sample run and the full suite", id)
 		}
 	}
 }

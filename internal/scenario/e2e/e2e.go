@@ -1,8 +1,8 @@
 // Package e2e is the polling end-to-end harness for declarative
 // scenarios: declare a spec, synthesize its dataset once, launch the
-// full streamed experiment suite in the background in one or more run
-// variants (plain streamed, sharded, kill-and-resume from checkpoints),
-// and poll for the converged report artifact. Convergence is the
+// full experiment suite in the background in one or more run variants
+// (plain streamed, sharded, kill-and-resume from checkpoints, in-memory
+// fleet), and poll for the converged report artifact. Convergence is the
 // artifact's existence — reports are written atomically (temp + fsync +
 // rename), so a readable artifact is always a complete one. Every
 // variant renders the same deterministic Report, so a single golden per
@@ -108,6 +108,22 @@ func Streamed() Variant {
 	}}
 }
 
+// InMemory regenerates the scenario's fleet in memory (the dataset file
+// is not read) and runs the suite over it with meshlab.AnalyzeFleet: the
+// loop behind every in-memory caller, pinned to the same golden as the
+// file-driven variants.
+func InMemory() Variant {
+	return Variant{Name: "in-memory", run: func(h *Harness, sp *scenario.Spec, _ string) ([]*meshlab.Result, error) {
+		opts := sp.Options()
+		opts.Workers = h.Workers
+		f, err := meshlab.GenerateFleet(opts)
+		if err != nil {
+			return nil, err
+		}
+		return meshlab.AnalyzeFleet(f)
+	}}
+}
+
 // Sharded runs the suite as n parallel shards and requires full
 // coverage (a degraded manifest is an error here — scenario goldens pin
 // complete runs).
@@ -174,8 +190,15 @@ type Run struct {
 }
 
 // Err reports the run's failure, if any; valid after WaitConverged (or
-// after done closes).
+// after Wait).
 func (r *Run) Err() error { return r.err }
+
+// Wait blocks until the run's goroutine has finished: published its
+// artifact or failed. Convergence does not imply it — the artifact can
+// appear first — so a caller that removes the harness directory joins
+// the run first; tests register t.Cleanup(r.Wait) after creating the
+// directory, so the join runs before its removal.
+func (r *Run) Wait() { <-r.done }
 
 // Start launches a variant in the background. The goroutine runs the
 // suite, renders the deterministic Report, and publishes it atomically

@@ -13,8 +13,12 @@ import (
 
 	"meshlab"
 	"meshlab/internal/atomicio"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/scenario"
 )
+
+// TestMain fails the package if a test leaves a run goroutine behind.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // tinySpec parses a minimal valid scenario for harness-mechanics tests
 // (no dataset is synthesized unless a test asks for one).
@@ -69,6 +73,7 @@ func TestWaitConvergedSuccess(t *testing.T) {
 		return fakeResults(), nil
 	})
 	r := h.Start(sp, "unused.bin", v)
+	t.Cleanup(r.Wait)
 	data, err := h.WaitConverged(r)
 	if err != nil {
 		t.Fatalf("WaitConverged: %v", err)
@@ -96,6 +101,7 @@ func TestWaitConvergedRunError(t *testing.T) {
 		func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
 			return nil, boom
 		}))
+	t.Cleanup(r.Wait)
 	start := time.Now()
 	_, err := h.WaitConverged(r)
 	if !errors.Is(err, boom) {
@@ -125,6 +131,10 @@ func TestWaitConvergedTimeout(t *testing.T) {
 			<-release // never converges within the test's timeout
 			return fakeResults(), nil
 		}))
+	// Registered after the TempDir, so it runs before the directory's
+	// removal and after the deferred release: the goroutine publishes,
+	// then the directory goes.
+	t.Cleanup(r.Wait)
 	_, err := h.WaitConverged(r)
 	if err == nil {
 		t.Fatal("WaitConverged returned without an artifact or a timeout")
@@ -156,6 +166,7 @@ func TestConvergenceIsArtifactExistence(t *testing.T) {
 			<-release // the goroutine itself never finishes in time
 			return fakeResults(), nil
 		}))
+	t.Cleanup(r.Wait)
 	data, err := h.WaitConverged(r)
 	if err != nil {
 		t.Fatalf("WaitConverged: %v", err)
@@ -185,6 +196,7 @@ func TestAtomicPublishNoTornReads(t *testing.T) {
 		func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
 			return results, nil
 		}))
+	t.Cleanup(r.Wait)
 
 	var wg sync.WaitGroup
 	torn := make(chan string, 8)

@@ -16,29 +16,25 @@
 //   - §6 hidden triples and rate-dependent range.
 //   - §7 client mobility: prevalence and persistence.
 //
-// The typical flow is: generate (or load) a Fleet, wrap it in an Analysis,
-// and run experiments by their paper artifact ID:
+// The typical flow is: generate (or load) a Fleet and run experiments by
+// their paper artifact ID:
 //
 //	fleet, err := meshlab.GenerateFleet(meshlab.QuickOptions(42))
 //	...
-//	a := meshlab.NewAnalysis(fleet)
-//	res, err := a.Run("fig5.1")
-//	fmt.Print(res.Format())
+//	results, err := meshlab.AnalyzeFleet(fleet, "fig5.1")
+//	fmt.Print(results[0].Format())
 //
-// The full suite can run serially (a.RunAll) or fanned across a worker
-// pool (a.RunAllParallel(0) uses GOMAXPROCS workers); both produce the
-// same results in the same paper order — the analysis context memoizes
-// derived data per key, so execution order never changes a table.
-// Binary dataset files can skip materialization entirely: StreamFleet
-// runs the whole suite in one streaming pass whose peak memory is
-// bounded by derived tables — the §4 samples flow through chunked
-// accumulators as per-network groups and are never resident — emitting
-// byte-identical results, and StreamSampleExperiments runs the §4
-// tables alone at table-sized memory (LoadSamples + NewSampleAnalysis
-// remain as the materializing form). Every parallel kernel is bounded
-// by the process-wide worker budget (internal/conc), set by the CLIs'
-// -workers flag. See also PERF.md for the optimization inventory and
-// benchmarks.
+// With no IDs, AnalyzeFleet runs the full suite in paper order. Every
+// entry point drives one engine, the streaming accumulator suite, so the
+// same data yields the same bytes however it arrives: AnalyzeFleet walks
+// an in-memory fleet; StreamFleet walks a binary dataset file without
+// materializing it, its peak memory bounded by derived tables — the §4
+// samples flow through chunked accumulators as per-network groups and
+// are never resident; ShardedStream splits that walk into fault-tolerant
+// shards; and StreamSampleExperiments runs the §4 tables alone at
+// table-sized memory. Every parallel kernel is bounded by the
+// process-wide worker budget (internal/conc), set by the CLIs' -workers
+// flag. See also PERF.md for the optimization inventory and benchmarks.
 //
 // Every table and figure of the thesis's evaluation has a runner; see
 // ExperimentIDs, and EXPERIMENTS.md as regenerated by cmd/meshreport (the
@@ -84,12 +80,6 @@ type Options = synth.Options
 // to StreamOptions.OnNetwork.
 type NetworkInfo = dataset.NetworkInfo
 
-// Analysis wraps a fleet with memoized derived state and runs experiments
-// against it. Run, RunAll, and RunAllParallel are safe for concurrent use:
-// memoization is sharded per derived value, so parallel experiments only
-// block each other when they need the same computation.
-type Analysis = experiments.Context
-
 // Result is one regenerated table or figure.
 type Result = experiments.Result
 
@@ -107,11 +97,29 @@ func ReferenceOptions(seed uint64) Options { return synth.Reference(seed) }
 // produce byte-identical fleets.
 func GenerateFleet(opts Options) (*Fleet, error) { return synth.Generate(opts) }
 
-// NewAnalysis prepares a fleet for experiment runs.
-func NewAnalysis(f *Fleet) *Analysis { return experiments.NewContext(f) }
-
 // ExperimentIDs lists every reproducible table/figure ID in paper order.
 func ExperimentIDs() []string { return experiments.IDs() }
+
+// AnalyzeFleet runs experiments over an in-memory fleet: the full suite
+// in paper order when no IDs are given, otherwise the given experiments
+// in the given order. It feeds the fleet's networks, in order, through
+// the engine StreamFleet drives from a file, so the results are
+// byte-identical to streaming the fleet's dataset file, and only the
+// selected experiments' per-network work is paid for. An unknown ID is
+// an error. Every goroutine the run starts has exited when AnalyzeFleet
+// returns.
+func AnalyzeFleet(f *Fleet, ids ...string) ([]*Result, error) {
+	sc := experiments.NewStreamContext(0, ids...)
+	for _, nd := range f.Networks {
+		// A failed Observe leaves its error sticky: Finalize drains the
+		// pipeline and returns it.
+		if sc.Observe(nd) != nil {
+			break
+		}
+	}
+	sc.SetClients(f.Clients)
+	return sc.Finalize()
+}
 
 // WriteFleet serializes a fleet in the JSON-lines dataset format.
 func WriteFleet(w io.Writer, f *Fleet) error { return dataset.Write(w, f) }
@@ -123,8 +131,8 @@ func WriteFleetBinary(w io.Writer, f *Fleet) error { return wire.Write(w, f) }
 
 // WriteFleetBinaryWithSamples serializes a fleet like WriteFleetBinary
 // and appends the flat-sample section (the pre-flattened §4 samples), so
-// a later load can prime an Analysis without re-flattening probe data.
-// The section roughly triples the file (measured 107 → 279 MB at
+// a later streaming run reads the samples instead of re-flattening probe
+// data. The section roughly triples the file (measured 107 → 279 MB at
 // reference scale); dataset caches use it, interchange files usually
 // should not.
 func WriteFleetBinaryWithSamples(w io.Writer, f *Fleet) error {
@@ -171,8 +179,8 @@ func SaveFleet(path string, f *Fleet) error {
 }
 
 // SaveFleetWithSamples writes a fleet to a binary file (the path must end
-// in ".bin") with the flat-sample section appended, so later loads via
-// LoadFleetSamples can prime an Analysis without re-flattening. meshgen's
+// in ".bin") with the flat-sample section appended, so streaming runs
+// over the file read the §4 samples instead of re-flattening. meshgen's
 // -flat-samples flag uses it. The write is atomic (temp + fsync +
 // rename, like the dataset cache): a concurrent reader or a crash only
 // ever observes the previous file or the complete new one, so a present
@@ -201,88 +209,9 @@ func LoadFleet(path string) (*Fleet, error) {
 	return ReadFleet(file)
 }
 
-// FleetSamples maps a band name ("bg", "n") to pre-flattened §4 samples,
-// as stored in a binary fleet file's flat-sample section. Hand it to
-// Analysis.PrimeSamples so the first §4 experiment skips re-flattening
-// the probe data.
-type FleetSamples = map[string][]snr.Sample
-
-// LoadFleetSamples loads a fleet like LoadFleet, streaming binary files
-// network-by-network, and additionally returns the file's flat-sample
-// section when it has one (nil otherwise, including for JSON-lines
-// files).
-func LoadFleetSamples(path string) (*Fleet, FleetSamples, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("meshlab: %w", err)
-	}
-	defer file.Close()
-	br := bufio.NewReaderSize(file, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return nil, nil, fmt.Errorf("meshlab: %w", err)
-	}
-	if !isBinaryMagic(head) {
-		f, err := dataset.Read(br)
-		return f, nil, err
-	}
-	rd, err := wire.NewReader(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := collectFleet(rd, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !rd.HasFlatSamples() {
-		return f, nil, nil
-	}
-	samples, err := rd.Samples()
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, samples, nil
-}
-
-// collectFleet drains a streaming reader into a materialized fleet,
-// running the optional check on every network as it is decoded (a check
-// error aborts the walk). It is the shared walk behind LoadFleetSamples
-// and the cache loader.
-func collectFleet(rd *wire.Reader, check func(*dataset.NetworkData) error) (*Fleet, error) {
-	f := &Fleet{Meta: rd.Meta()}
-	if err := rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
-		if check != nil {
-			if err := check(nd); err != nil {
-				return err
-			}
-		}
-		f.Networks = append(f.Networks, nd)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var err error
-	if f.Clients, err = rd.Clients(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // LoadOrGenerateFleet returns the fleet for opts, using path as a dataset
-// cache so synthesis is paid at most once per (seed, config). It is
-// LoadOrGenerateFleetSamples without the flat-sample plumbing; see there
-// for the validation and regeneration rules.
-func LoadOrGenerateFleet(path string, opts Options) (*Fleet, bool, error) {
-	f, _, hit, err := LoadOrGenerateFleetSamples(path, opts)
-	return f, hit, err
-}
-
-// LoadOrGenerateFleetSamples returns the fleet for opts, using path as a
-// dataset cache so synthesis is paid at most once per (seed, config), plus
-// the pre-flattened §4 samples (see FleetSamples): read from the cache's
-// flat-sample section on a warm hit, or derived while writing the cache
-// on a miss or upgrade, so no caller ever flattens twice. Samples are nil
-// only when the cache was bypassed or an upgrade rewrite failed.
+// cache so synthesis is paid at most once per (seed, config). The
+// returned bool reports whether the cache was hit.
 //
 // A binary file at path is streamed network-by-network and accepted when
 // its metadata — seed, probe duration and cadence, client snapshot length
@@ -295,25 +224,25 @@ func LoadOrGenerateFleet(path string, opts Options) (*Fleet, bool, error) {
 // validated the same way after a full load. Anything else (missing file,
 // unreadable format, mismatched seed or config) triggers a fresh
 // synthesis whose result is written back to path in the current binary
-// format with the flat-sample section appended. The returned bool
-// reports whether the cache was hit.
+// format with the flat-sample section appended.
 //
 // A cache hit on a file in the legacy binary framing (magic "MLF1"), or
-// one without the flat-sample section, rewrites the file in the current
-// format — best effort, a failed rewrite still returns the loaded fleet —
-// so the next run starts warm. See docs/FORMAT.md for both layouts.
+// one without a readable flat-sample section, rewrites the file in the
+// current format — best effort, a failed rewrite still returns the loaded
+// fleet — so the next run starts warm. See docs/FORMAT.md for both
+// layouts.
 //
 // Options the file format cannot record — a RadioParams override, a
 // non-default probe aggregation depth, or client-mixture tuning — bypass
 // the cache entirely (see synth.Options.CacheValidatable): generating is
 // always correct, serving a false hit never is.
-func LoadOrGenerateFleetSamples(path string, opts Options) (*Fleet, FleetSamples, bool, error) {
+func LoadOrGenerateFleet(path string, opts Options) (*Fleet, bool, error) {
 	if !opts.CacheValidatable() {
 		f, err := GenerateFleet(opts)
-		return f, nil, false, err
+		return f, false, err
 	}
-	if f, samples, ok := loadValidatedCache(path, opts); ok {
-		return f, samples, true, nil
+	if f, ok := loadValidatedCache(path, opts); ok {
+		return f, true, nil
 	}
 	// Claim a temp file next to the cache path before synthesizing, so an
 	// unwritable location fails in milliseconds instead of after minutes
@@ -322,7 +251,7 @@ func LoadOrGenerateFleetSamples(path string, opts Options) (*Fleet, FleetSamples
 	// torn file. A directory at path would pass the temp-file probe but
 	// fail the rename after synthesis, so reject it up front too.
 	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		return nil, nil, false, fmt.Errorf("meshlab: dataset cache: %s is a directory", path)
+		return nil, false, fmt.Errorf("meshlab: dataset cache: %s is a directory", path)
 	}
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -337,19 +266,18 @@ func LoadOrGenerateFleetSamples(path string, opts Options) (*Fleet, FleetSamples
 	// .tmp file next to the cache.
 	probe, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("meshlab: dataset cache: %w", err)
+		return nil, false, fmt.Errorf("meshlab: dataset cache: %w", err)
 	}
 	probe.Close()
 	os.Remove(probe.Name())
 	f, err := GenerateFleet(opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	samples, err := writeDatasetCache(path, f)
-	if err != nil {
-		return nil, nil, false, err
+	if err := writeDatasetCache(path, f); err != nil {
+		return nil, false, err
 	}
-	return f, samples, false, nil
+	return f, false, nil
 }
 
 // errTopologyMismatch aborts a streaming cache load at the first network
@@ -359,69 +287,61 @@ var errTopologyMismatch = errors.New("topology mismatch")
 // loadValidatedCache loads the dataset cache at path if it exists and
 // matches opts, returning ok=false (a miss) otherwise. Binary files are
 // validated while streaming; the metadata check happens before any
-// network is decoded. On a hit against a file without a flat-sample
-// section (legacy framing or a corrupt trailing section), the cache is
-// rewritten in the current format, best effort.
-func loadValidatedCache(path string, opts Options) (*Fleet, FleetSamples, bool) {
+// network is decoded. On a hit against a file without a readable
+// flat-sample section (legacy framing or a corrupt trailing section),
+// the cache is rewritten in the current format, best effort.
+func loadValidatedCache(path string, opts Options) (*Fleet, bool) {
 	file, err := os.Open(path)
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
 	defer file.Close()
 	br := bufio.NewReaderSize(file, 1<<20)
 	head, err := br.Peek(len(wire.Magic))
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
 	if !isBinaryMagic(head) {
 		// JSON-lines cache (hand-placed; this package writes binary):
 		// validate after a full load, and leave the user's format alone.
 		f, err := dataset.Read(br)
 		if err != nil {
-			return nil, nil, false
+			return nil, false
 		}
-		if f.Meta == opts.Meta() && opts.SkipClients == (len(f.Clients) == 0) &&
-			synth.MatchesTopology(f, opts) {
-			return f, nil, true
-		}
-		return nil, nil, false
+		ok := f.Meta == opts.Meta() && opts.SkipClients == (len(f.Clients) == 0) &&
+			synth.MatchesTopology(f, opts)
+		return f, ok
 	}
 	rd, err := wire.NewReader(br)
 	if err != nil || rd.Meta() != opts.Meta() {
-		return nil, nil, false
+		return nil, false
 	}
 	tm, err := synth.NewTopologyMatcher(opts)
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
-	f, err := collectFleet(rd, func(nd *dataset.NetworkData) error {
+	f := &Fleet{Meta: rd.Meta()}
+	err = rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
 		if !tm.Match(nd.Info) {
 			return errTopologyMismatch
 		}
+		f.Networks = append(f.Networks, nd)
 		return nil
 	})
 	if err != nil || !tm.Done() {
-		return nil, nil, false
+		return nil, false
 	}
-	if opts.SkipClients != (len(f.Clients) == 0) {
-		return nil, nil, false
+	if f.Clients, err = rd.Clients(); err != nil || opts.SkipClients != (len(f.Clients) == 0) {
+		return nil, false
 	}
-	if rd.HasFlatSamples() {
-		if samples, err := rd.Samples(); err == nil {
-			return f, samples, true
-		}
-		// The fleet itself validated; only the trailing section is bad.
-		// Fall through and rewrite it rather than resynthesizing.
+	// The fleet itself validated. Walk the sample section without
+	// retaining it: a missing or corrupt section is rewritten rather than
+	// resynthesized, so the next run starts warm; on a failed rewrite the
+	// old file keeps working as a cache.
+	if !rd.HasFlatSamples() || rd.SampleGroups(0, func(*wire.SampleGroup) error { return nil }) != nil {
+		_ = writeDatasetCache(path, f) // best effort, see above
 	}
-	// Valid cache in the legacy framing or without samples: upgrade in
-	// place so the next run starts warm. The rewrite is best effort — on
-	// failure the old file keeps working as a cache — and the samples the
-	// rewrite derives serve this run too.
-	samples, err := writeDatasetCache(path, f)
-	if err != nil {
-		return f, nil, true
-	}
-	return f, samples, true
+	return f, true
 }
 
 // ErrNotStreamable reports that a file cannot feed the streaming suite:
@@ -446,11 +366,6 @@ type StreamOptions struct {
 	// checked against these options while streaming, and any divergence
 	// aborts with an error wrapping ErrCacheMismatch.
 	Validate *Options
-	// MaterializeSamples retains the full per-band §4 samples in memory
-	// (the pre-chunked profile) instead of streaming them through the
-	// chunked accumulators group by group. No registered experiment needs
-	// it; it exists for extensions that require global sample order.
-	MaterializeSamples bool
 	// OnNetwork, when non-nil, receives each walked network's identity
 	// plus its directed-link and probe-set counts, in file order and
 	// before the network is released — how meshd builds its queryable
@@ -493,10 +408,10 @@ type StreamSummary struct {
 // decoded, observed by every experiment (per-network derived work fans
 // across StreamOptions.Workers), and released, so peak memory is bounded
 // by the derived data plus a bounded window of in-flight networks. The
-// results are byte-identical to NewAnalysis(fleet).RunAllParallel over
-// the same data. A file with the flat-sample section additionally skips
-// the §4 flattening pass. JSON-lines files cannot stream; the error wraps
-// ErrNotStreamable so callers can fall back to materialization.
+// results are byte-identical to AnalyzeFleet over the same fleet. A file
+// with the flat-sample section additionally skips the §4 flattening
+// pass. JSON-lines files cannot stream; the error wraps ErrNotStreamable
+// so callers can load them with LoadFleet and use AnalyzeFleet instead.
 func StreamFleet(path string, so StreamOptions) ([]*Result, *StreamSummary, error) {
 	open := so.Open
 	if open == nil {
@@ -532,9 +447,6 @@ func StreamFleet(path string, so StreamOptions) ([]*Result, *StreamSummary, erro
 	sum := &StreamSummary{Meta: rd.Meta(), FlatSamples: rd.HasFlatSamples()}
 	if sum.FlatSamples {
 		sc.DeferSamples()
-	}
-	if so.MaterializeSamples {
-		sc.MaterializeSamples()
 	}
 	walkErr := rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
 		if tm != nil && !tm.Match(nd.Info) {
@@ -632,28 +544,6 @@ func ShardedStream(ctx context.Context, path string, so ShardOptions) (*ShardRes
 	return shard.Run(ctx, path, so)
 }
 
-// LoadSamples streams only the §4 samples out of a binary fleet file: a
-// direct section read when the file carries flat samples, an incremental
-// flatten of the network records otherwise — either way peak memory is
-// the samples plus one network, never the fleet. JSON-lines files cannot
-// stream; the error wraps ErrNotStreamable and says how to re-encode.
-func LoadSamples(path string) (FleetSamples, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("meshlab: %w", err)
-	}
-	defer file.Close()
-	br := bufio.NewReaderSize(file, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return nil, fmt.Errorf("meshlab: %s: %w", path, err)
-	}
-	if !isBinaryMagic(head) {
-		return nil, fmt.Errorf("%w: %s — the sample-streaming mode needs the binary format; regenerate with `meshgen -out fleet.bin -flat-samples` or point at a -dataset cache", ErrNotStreamable, path)
-	}
-	return wire.ReadSamples(br)
-}
-
 // EachSampleGroup streams a binary fleet file's §4 samples one
 // per-network group at a time: from the flat-sample section when the
 // file carries one (groups decode across a bounded pool of workers, ≤ 0
@@ -696,11 +586,11 @@ func EachSampleGroup(path string, workers int, fn func(band, net string, samples
 
 // StreamSampleExperiments runs sample-only experiments
 // (SampleExperimentIDs) over a binary fleet file's chunked sample-group
-// stream: the -sec4 engine. Unlike LoadSamples + NewSampleAnalysis, the
-// samples are never materialized — each group trains the experiments'
-// count/histogram tables and is released — so reference-scale caches
-// analyze at table-sized memory. Results are byte-identical to the full
-// in-memory analysis, in the order ids are given.
+// stream: the -sec4 engine. The samples are never materialized — each
+// group trains the experiments' count/histogram tables and is released —
+// so reference-scale caches analyze at table-sized memory. Results are
+// byte-identical to the same experiments in a full-suite run, in the
+// order ids are given.
 func StreamSampleExperiments(path string, ids []string, workers int) ([]*Result, error) {
 	run, err := experiments.NewSampleRun(ids)
 	if err != nil {
@@ -714,44 +604,28 @@ func StreamSampleExperiments(path string, ids []string, workers int) ([]*Result,
 	return run.Finalize()
 }
 
-// NewSampleAnalysis wraps pre-flattened §4 samples (see LoadSamples) in
-// an Analysis that can run the sample-only experiments —
-// SampleExperimentIDs — without any fleet, at sample-sized memory.
-// Running any other experiment fails on the empty fleet.
-func NewSampleAnalysis(samples FleetSamples) *Analysis {
-	a := experiments.NewContext(&dataset.Fleet{})
-	for band, s := range samples {
-		a.PrimeSamples(band, s)
-	}
-	return a
-}
-
 // SampleExperimentIDs lists the experiments that consume only the
-// flattened §4 samples, in paper order: the population NewSampleAnalysis
-// can run.
+// flattened §4 samples, in paper order: the population
+// StreamSampleExperiments can run.
 func SampleExperimentIDs() []string { return experiments.SampleIDs() }
 
 // SampleOnlyExperiment reports whether the experiment can run from
-// samples alone (the NewSampleAnalysis population).
+// samples alone (the StreamSampleExperiments population).
 func SampleOnlyExperiment(id string) bool { return experiments.SampleOnly(id) }
 
 // writeDatasetCache atomically replaces path with f in the current binary
 // format, flat-sample section included — atomicio's temp + fsync +
 // rename, so concurrent readers never observe a torn cache and a crash
-// mid-write cannot lose the previous one. The samples derived while
-// encoding the section are returned so the caller can serve them without
-// flattening the fleet a second time. The cache gets the usual 0644
+// mid-write cannot lose the previous one. The cache gets the usual 0644
 // data-file mode so other users of a shared fixture can read it, like
 // SaveFleet output.
-func writeDatasetCache(path string, f *Fleet) (FleetSamples, error) {
-	var samples FleetSamples
+func writeDatasetCache(path string, f *Fleet) error {
 	err := atomicio.WriteFile(path, 0o644, func(tmp *os.File) error {
-		var werr error
-		samples, werr = wire.WriteWithSamples(tmp, f)
+		_, werr := wire.WriteWithSamples(tmp, f)
 		return werr
 	})
 	if err != nil {
-		return nil, fmt.Errorf("meshlab: dataset cache: %w", err)
+		return fmt.Errorf("meshlab: dataset cache: %w", err)
 	}
-	return samples, nil
+	return nil
 }

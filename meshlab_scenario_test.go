@@ -1,6 +1,6 @@
 // Scenario end-to-end tests: declare a built-in scenario, synthesize its
-// dataset, run the full streamed suite through the polling e2e harness
-// in three variants (streamed, sharded, kill-and-resume), and pin every
+// dataset, run the full suite through the polling e2e harness in four
+// variants (streamed, sharded, kill-and-resume, in-memory), and pin every
 // scenario's report against a checked-in golden. External test package:
 // the harness imports meshlab, so an internal test would be a cycle.
 package meshlab_test
@@ -26,8 +26,8 @@ func scenarioGoldenPath(name string) string {
 }
 
 // TestScenarioE2EGoldens runs every built-in scenario (except the
-// reference, which is guardrail-scale) through all three run variants,
-// requires the three converged reports to be byte-identical, and
+// reference, which is guardrail-scale) through all four run variants,
+// requires the converged reports to be byte-identical, and
 // compares them against the scenario's golden. Run with -update to
 // regenerate goldens after an intentional change — the embedded spec
 // sha256 keeps a stale golden from going unnoticed (scripts/
@@ -55,10 +55,12 @@ func TestScenarioE2EGoldens(t *testing.T) {
 				e2e.Streamed(),
 				e2e.Sharded(3),
 				e2e.CheckpointResume(3, "pre-rename"),
+				e2e.InMemory(),
 			}
 			runs := make([]*e2e.Run, len(variants))
 			for i, v := range variants {
 				runs[i] = h.Start(sp, dataset, v)
+				t.Cleanup(runs[i].Wait)
 			}
 			reports := make([][]byte, len(runs))
 			for i, r := range runs {

@@ -1,6 +1,7 @@
 package meshlab
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -13,10 +14,25 @@ import (
 	"meshlab/internal/wire"
 )
 
+// hasFlatSamples reports whether the binary dataset at path carries the
+// flat-sample section.
+func hasFlatSamples(t *testing.T, path string) bool {
+	t.Helper()
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	rd, err := wire.NewReader(bufio.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd.HasFlatSamples()
+}
+
 // TestLoadOrGenerateFleetUpgradesLegacyCache: a valid cache written in
 // the legacy MLF1 framing must hit (no resynthesis) and be rewritten in
-// the current format with the flat-sample section, so the next run
-// returns samples.
+// the current format with the flat-sample section.
 func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(31)
@@ -35,15 +51,12 @@ func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, samples, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	f, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("a valid legacy cache must hit, not resynthesize")
-	}
-	if len(samples) == 0 {
-		t.Fatal("the upgrade rewrite should return the samples it derived")
 	}
 	if f.NumProbeSets() != fleet.NumProbeSets() {
 		t.Fatal("legacy cache decoded differently")
@@ -60,117 +73,64 @@ func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 	if !bytes.Equal(head, wire.Magic2[:]) {
 		t.Fatalf("cache not upgraded: magic %q", head)
 	}
-
-	// The upgraded cache now serves samples.
-	_, samples, hit, err = LoadOrGenerateFleetSamples(path, opts)
-	if err != nil {
-		t.Fatal(err)
+	if !hasFlatSamples(t, path) {
+		t.Fatal("the upgrade rewrite should append the flat-sample section")
 	}
-	if !hit || len(samples) == 0 {
-		t.Fatalf("upgraded cache should hit with samples (hit=%v, bands=%d)", hit, len(samples))
+
+	// The upgraded cache still hits.
+	if _, hit, err = LoadOrGenerateFleet(path, opts); err != nil || !hit {
+		t.Fatalf("upgraded cache should hit (hit=%v, err=%v)", hit, err)
 	}
 }
 
-// TestLoadOrGenerateFleetSamplesWarm: the cold write stores the sample
-// section; the warm load returns it, and priming an Analysis with it
-// yields byte-identical experiment output to computing from scratch.
+// TestLoadOrGenerateFleetSamplesWarm: the cold write stores the
+// flat-sample section, and a warm load hits without rewriting the file.
 func TestLoadOrGenerateFleetSamplesWarm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(32)
-	fleet, _, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	fleet, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("cold cache reported a hit")
 	}
-	warm, samples, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	if !hasFlatSamples(t, path) {
+		t.Fatal("the cold write should append the flat-sample section")
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("warm cache missed")
 	}
-	if len(samples) == 0 {
-		t.Fatal("warm load returned no samples despite the section")
+	if warm.NumProbeSets() != fleet.NumProbeSets() {
+		t.Fatal("warm load decoded a different fleet")
 	}
-
-	// Oracle: a primed analysis and a from-scratch analysis agree on a
-	// §4-heavy experiment, byte for byte.
-	primed := NewAnalysis(warm)
-	for band, s := range samples {
-		primed.PrimeSamples(band, s)
-	}
-	scratch := NewAnalysis(fleet)
-	for _, id := range []string{"fig4.1", "fig4.4", "fig4.5"} {
-		a, err := primed.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := scratch.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Format() != b.Format() {
-			t.Fatalf("%s differs between primed and from-scratch analysis", id)
-		}
-	}
-}
-
-// TestLoadFleetSamples: .bin files round-trip the sample section through
-// the file facade; plain binary and JSONL files return nil samples.
-func TestLoadFleetSamples(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(33))
+	after, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	with := filepath.Join(dir, "with.bin")
-	if err := SaveFleetWithSamples(with, fleet); err != nil {
-		t.Fatal(err)
-	}
-	f, samples, err := LoadFleetSamples(with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumProbeSets() != fleet.NumProbeSets() || len(samples) == 0 {
-		t.Fatalf("sample-carrying file: %d probe sets, %d sample bands", f.NumProbeSets(), len(samples))
-	}
-
-	plain := filepath.Join(dir, "plain.bin")
-	if err := SaveFleet(plain, fleet); err != nil {
-		t.Fatal(err)
-	}
-	if _, samples, err := LoadFleetSamples(plain); err != nil || samples != nil {
-		t.Fatalf("plain binary should load with nil samples (err %v)", err)
-	}
-
-	jsonl := filepath.Join(dir, "fleet.jsonl")
-	if err := SaveFleet(jsonl, fleet); err != nil {
-		t.Fatal(err)
-	}
-	if _, samples, err := LoadFleetSamples(jsonl); err != nil || samples != nil {
-		t.Fatalf("JSONL should load with nil samples (err %v)", err)
-	}
-
-	// The section needs the binary format; a JSONL path is rejected.
-	if err := SaveFleetWithSamples(filepath.Join(dir, "nope.jsonl"), fleet); err == nil {
-		t.Fatal("SaveFleetWithSamples should reject a non-.bin path")
+	if !os.SameFile(before, after) {
+		t.Fatal("a warm hit with a valid sample section rewrote the cache")
 	}
 }
 
-// TestStreamFleetMatchesMaterialized is the meshlab-level oracle for the
-// streaming suite: the single-pass run over a binary file (with and
-// without the flat-sample section) must emit results byte-identical to
-// the materialized parallel runner, and must report honest walk
-// accounting.
+// TestStreamFleetMatchesMaterialized pins the file path against the
+// in-memory fleet loop: streaming a binary file (with and without the
+// flat-sample section) must emit results byte-identical to AnalyzeFleet
+// over the materialized fleet, and must report honest walk accounting.
 func TestStreamFleetMatchesMaterialized(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(34))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAnalysis(fleet).RunAllParallel(0)
+	want, err := AnalyzeFleet(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +156,7 @@ func TestStreamFleetMatchesMaterialized(t *testing.T) {
 		}
 		for i := range want {
 			if g, w := results[i].Format(), want[i].Format(); g != w {
-				t.Fatalf("%s: %s diverged from materialized run:\n--- stream ---\n%s\n--- memory ---\n%s",
+				t.Fatalf("%s: %s diverged from the in-memory run:\n--- stream ---\n%s\n--- memory ---\n%s",
 					tc.path, want[i].ID, g, w)
 			}
 		}
@@ -246,7 +206,7 @@ func TestStreamFleetValidates(t *testing.T) {
 }
 
 // TestStreamFleetNotStreamable: JSON-lines input is rejected with the
-// sentinel the CLIs use to fall back (or print guidance).
+// sentinel the CLIs use to load the fleet instead (or print guidance).
 func TestStreamFleetNotStreamable(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(37))
 	if err != nil {
@@ -259,53 +219,14 @@ func TestStreamFleetNotStreamable(t *testing.T) {
 	if _, _, err := StreamFleet(path, StreamOptions{}); !errors.Is(err, ErrNotStreamable) {
 		t.Fatalf("JSONL: got %v, want ErrNotStreamable", err)
 	}
-	if _, err := LoadSamples(path); !errors.Is(err, ErrNotStreamable) {
-		t.Fatalf("LoadSamples on JSONL: got %v, want ErrNotStreamable", err)
-	}
-}
-
-// TestSampleAnalysis: LoadSamples + NewSampleAnalysis reproduce the §4
-// tables byte-identically to a full in-memory analysis, and the
-// non-sample experiments fail instead of fabricating empty tables.
-func TestSampleAnalysis(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(38))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.bin")
-	if err := SaveFleetWithSamples(path, fleet); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := LoadSamples(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := NewSampleAnalysis(samples)
-	full := NewAnalysis(fleet)
-	for _, id := range SampleExperimentIDs() {
-		if !SampleOnlyExperiment(id) {
-			t.Fatalf("%s listed but not sample-only", id)
-		}
-		a, err := bare.Run(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		b, err := full.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Format() != b.Format() {
-			t.Fatalf("%s diverges between sample analysis and full analysis", id)
-		}
-	}
-	if _, err := bare.Run("fig3.1"); err == nil {
-		t.Fatal("a fleet experiment should fail on a sample-only analysis")
+	if err := EachSampleGroup(path, 1, nil); !errors.Is(err, ErrNotStreamable) {
+		t.Fatalf("EachSampleGroup on JSONL: got %v, want ErrNotStreamable", err)
 	}
 }
 
 // TestEachSampleGroupMatchesLoadSamples: the chunked group walk carries
-// exactly the samples LoadSamples materializes, per band and in order,
-// from both a sample-carrying and a section-less binary file.
+// exactly the samples a materializing read returns, per band and in
+// order, from both a sample-carrying and a section-less binary file.
 func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(39))
 	if err != nil {
@@ -321,11 +242,8 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range []string{sampled, plain} {
-		want, err := LoadSamples(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := FleetSamples{}
+		want := readSamples(t, path)
+		cat := map[string][]snr.Sample{}
 		groups := 0
 		if err := EachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {
 			groups++
@@ -345,7 +263,7 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 			t.Fatalf("%s: %d groups, fleet has %d network datasets", path, groups, len(fleet.Networks))
 		}
 		if !reflect.DeepEqual(cat, want) {
-			t.Fatalf("%s: concatenated groups diverge from LoadSamples", path)
+			t.Fatalf("%s: concatenated groups diverge from the materialized samples", path)
 		}
 	}
 	if err := EachSampleGroup(filepath.Join(dir, "missing.bin"), 1, nil); err == nil {
@@ -354,8 +272,8 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 }
 
 // TestStreamSampleExperimentsMatchesAnalysis: the fleet-less chunked §4
-// engine (meshanalyze -sec4) reproduces every sample-only table
-// byte-identically to the full in-memory analysis, at any worker count.
+// engine (meshanalyze -sec4) reproduces every sample-only table of the
+// full-suite run byte-identically, at any worker count.
 func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(40))
 	if err != nil {
@@ -365,7 +283,14 @@ func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 	if err := SaveFleetWithSamples(path, fleet); err != nil {
 		t.Fatal(err)
 	}
-	full := NewAnalysis(fleet)
+	suite, err := AnalyzeFleet(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[string]string{}
+	for _, r := range suite {
+		full[r.ID] = r.Format()
+	}
 	ids := SampleExperimentIDs()
 	for _, workers := range []int{1, 3} {
 		results, err := StreamSampleExperiments(path, ids, workers)
@@ -376,44 +301,16 @@ func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 			t.Fatalf("%d results for %d ids", len(results), len(ids))
 		}
 		for i, id := range ids {
-			want, err := full.Run(id)
-			if err != nil {
-				t.Fatal(err)
+			if !SampleOnlyExperiment(id) {
+				t.Fatalf("%s listed but not sample-only", id)
 			}
-			if results[i].Format() != want.Format() {
-				t.Fatalf("workers=%d: %s diverges from the in-memory analysis", workers, id)
+			if results[i].Format() != full[id] {
+				t.Fatalf("workers=%d: %s diverges from the full suite", workers, id)
 			}
 		}
 	}
 	// Fleet-needing experiments are refused up front.
 	if _, err := StreamSampleExperiments(path, []string{"fig5.1"}, 1); err == nil {
 		t.Fatal("a fleet experiment should be refused by the sample run")
-	}
-}
-
-// TestStreamFleetMaterializeSamplesKnob: the explicit opt-out of chunked
-// sample handling still emits byte-identical results — it only changes
-// what stays resident.
-func TestStreamFleetMaterializeSamplesKnob(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.bin")
-	if err := SaveFleetWithSamples(path, fleet); err != nil {
-		t.Fatal(err)
-	}
-	chunked, _, err := StreamFleet(path, StreamOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	materialized, _, err := StreamFleet(path, StreamOptions{Workers: 2, MaterializeSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range chunked {
-		if chunked[i].Format() != materialized[i].Format() {
-			t.Fatalf("%s diverges under MaterializeSamples", chunked[i].ID)
-		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"meshlab/internal/dataset"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/radio"
 )
 
@@ -18,13 +20,44 @@ func TestEndToEndQuick(t *testing.T) {
 	if err := fleet.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAnalysis(fleet)
-	res, err := a.Run("fig5.1")
+	results, err := AnalyzeFleet(fleet, "fig5.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != "fig5.1" || len(res.Rows) == 0 {
-		t.Fatalf("unexpected result %+v", res)
+	if len(results) != 1 || results[0].ID != "fig5.1" || len(results[0].Rows) == 0 {
+		t.Fatalf("unexpected results %+v", results)
+	}
+	if _, err := AnalyzeFleet(fleet, "fig9.9"); err == nil {
+		t.Fatal("an unknown experiment should error")
+	}
+}
+
+// TestAnalyzeFleetJoinsGoroutines: every pipeline goroutine AnalyzeFleet
+// starts has exited once it returns — on success, on an unknown ID, and
+// when a network fails mid-walk.
+func TestAnalyzeFleetJoinsGoroutines(t *testing.T) {
+	fleet, err := GenerateFleet(QuickOptions(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *fleet.ByBand("bg")[0]
+	bad.Links = append([]*dataset.Link{{From: 0, To: len(bad.Info.APs)}}, bad.Links...)
+	broken := &Fleet{Networks: append([]*dataset.NetworkData{&bad}, fleet.Networks...), Clients: fleet.Clients}
+
+	before := leakcheck.Take()
+	if _, err := AnalyzeFleet(fleet, "fig5.1", "fig7.1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeFleet(fleet, "fig9.9"); err == nil {
+		t.Fatal("an unknown experiment should error")
+	}
+	if _, err := AnalyzeFleet(broken); err == nil {
+		t.Fatal("a link to a missing AP should fail the routing experiments")
+	}
+	// Prepare workers exit right after signalling their job done, so allow
+	// them a moment to unwind.
+	if err := before.Check(time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -75,6 +108,11 @@ func TestSaveLoadFleet(t *testing.T) {
 	}
 	if _, err := LoadFleet(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
 		t.Fatal("loading a missing file should error")
+	}
+	// The flat-sample section needs the binary format; a JSONL path is
+	// rejected.
+	if err := SaveFleetWithSamples(filepath.Join(t.TempDir(), "nope.jsonl"), fleet); err == nil {
+		t.Fatal("SaveFleetWithSamples should reject a non-.bin path")
 	}
 }
 
