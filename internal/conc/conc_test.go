@@ -5,7 +5,11 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"meshlab/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestBudgetDefaultsToGOMAXPROCS(t *testing.T) {
 	defer SetBudget(0)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -30,7 +31,8 @@ var ErrKilled = errors.New("faultfs: injected kill")
 //
 // The zero value is inert. A CrashPlan fires at most once; it is safe
 // for concurrent use by parallel shard workers (whichever worker reaches
-// the kill point first takes the hit).
+// the kill point first takes the hit — for "mid-rename", the worker whose
+// file was torn).
 type CrashPlan struct {
 	mu sync.Mutex
 	// KillAt is the phase that triggers the kill ("" disables).
@@ -46,7 +48,7 @@ type CrashPlan struct {
 	TornXOR byte
 
 	hits     int
-	armedTor bool
+	tornTemp string // set once the mid-rename tear landed on this temp file
 	fired    bool
 }
 
@@ -58,9 +60,13 @@ func (p *CrashPlan) Hook(phase, path string) error {
 	if p.fired || p.KillAt == "" {
 		return nil
 	}
-	if p.armedTor {
-		// The tear landed; let the rename itself complete, then kill.
-		if phase == "renamed" {
+	if p.tornTemp != "" {
+		// The tear landed; let that file's rename complete, then kill its
+		// writer. atomicio names a temp file after its final path, so
+		// another worker's rename in between is told apart by path and
+		// does not take the hit: the torn writer must not carry on past
+		// its tear and write a newer generation.
+		if phase == "renamed" && strings.HasPrefix(p.tornTemp, path+".tmp-") {
 			p.fired = true
 			return fmt.Errorf("%w (torn at %s)", ErrKilled, p.KillAt)
 		}
@@ -80,7 +86,7 @@ func (p *CrashPlan) Hook(phase, path string) error {
 		if err := p.tear(path); err != nil {
 			return err
 		}
-		p.armedTor = true
+		p.tornTemp = path
 		return nil
 	}
 	p.fired = true

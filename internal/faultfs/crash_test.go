@@ -107,6 +107,29 @@ func TestCrashPlanMidRenameTearsThenKills(t *testing.T) {
 	})
 }
 
+// TestCrashPlanMidRenameKillsTheTornWriter: with parallel writers, a
+// rename by another writer between the tear and the torn file's own
+// rename must not take the kill, or the torn writer would carry on and
+// supersede its torn generation.
+func TestCrashPlanMidRenameKillsTheTornWriter(t *testing.T) {
+	dir := t.TempDir()
+	torn, tornTmp := filepath.Join(dir, "shard000.ckpt"), filepath.Join(dir, "shard000.ckpt.tmp-7")
+	other := filepath.Join(dir, "shard001.ckpt")
+	if err := os.WriteFile(tornTmp, []byte("checkpoint file bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan := &CrashPlan{KillAt: "mid-rename", Torn: 3}
+	if err := plan.Hook("mid-rename", tornTmp); err != nil {
+		t.Fatalf("tear: %v", err)
+	}
+	if err := plan.Hook("renamed", other); err != nil || plan.Fired() {
+		t.Fatalf("another writer's rename took the kill: %v", err)
+	}
+	if err := plan.Hook("renamed", torn); !errors.Is(err, ErrKilled) {
+		t.Fatalf("torn writer's rename: err = %v, want ErrKilled", err)
+	}
+}
+
 func TestCrashPlanSkipTargetsLaterWrite(t *testing.T) {
 	content := []byte("checkpoint file bytes")
 	dir := t.TempDir()

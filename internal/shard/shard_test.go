@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/wire"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestBackoffCapAndDeterminism(t *testing.T) {
 	const base = 5 * time.Millisecond

@@ -34,9 +34,17 @@ package snr
 // fleet — so each scope trains, replays, and discards its cells at the
 // earliest boundary where they are final, banking quantized penalty
 // histograms where replay must wait.
+//
+// Within a chunk the cores walk cells instead of looking them up:
+// chunkOrder (dense.go) counting-sorts a network's samples so that each
+// link, or each (instance, SNR) training cell, is one contiguous run, and
+// every value histogram is a countTable keyed by float64 bits. The
+// per-sample loops build no map key, string or sorted copy.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"meshlab/internal/conc"
@@ -72,19 +80,16 @@ type counted struct {
 	n    int64
 }
 
-// newCounted freezes a value→count histogram into its sorted counted form.
-func newCounted(m map[float64]int64, nan int64) *counted {
-	c := &counted{nan: nan, n: nan}
-	if len(m) > 0 {
-		c.vals = make([]float64, 0, len(m))
-		for v := range m {
-			c.vals = append(c.vals, v)
-		}
-		sort.Float64s(c.vals)
-		c.cum = make([]int64, len(c.vals))
-		run := nan
-		for i, v := range c.vals {
-			run += m[v]
+// newCounted freezes a histogram into its sorted counted form.
+func newCounted(h *diffHist) *counted {
+	c := &counted{nan: h.nan, n: h.nan}
+	if live := h.sorted(); len(live) > 0 {
+		c.vals = make([]float64, len(live))
+		c.cum = make([]int64, len(live))
+		run := h.nan
+		for i, sl := range live {
+			c.vals[i] = sl.value()
+			run += sl.n
 			c.cum[i] = run
 		}
 		c.n = run
@@ -158,25 +163,6 @@ func (d *Dist) Materialize() []float64 {
 	return out
 }
 
-// diffHist accumulates a value→count histogram with NaN tracking.
-type diffHist struct {
-	m   map[float64]int64
-	nan int64
-}
-
-func (h *diffHist) add(v float64, n int64) {
-	if math.IsNaN(v) {
-		h.nan += n
-		return
-	}
-	if h.m == nil {
-		h.m = make(map[float64]int64)
-	}
-	h.m[v] += n
-}
-
-func (h *diffHist) freeze() *Dist { return &Dist{c: *newCounted(h.m, h.nan)} }
-
 // PenaltyDist is one scope's chunked §4.3 outcome: the penalty
 // distribution in counted form plus the exact-hit fraction. It carries
 // the same information as PenaltyResult at table-sized memory.
@@ -240,9 +226,13 @@ type penaltyScopeState struct {
 	apCells  map[apCellKey]int32
 	apCounts []int64       // [cell*nr + ri] training counts
 	apBanks  [][]diffCount // [cell*nr + p]
-	dict     map[float64]int32
+	dict     countTable    // penalty value → dictionary id + 1
 	diffVals []float64
 	nanID    int32
+
+	// observeLocal's reusable scratch.
+	ord  chunkOrder
+	rate []int64 // one cell's per-rate training counts
 
 	// held defers the current network's first chunk: if the network turns
 	// out to be unsplit (every network but the occasional huge one), its
@@ -279,7 +269,6 @@ func NewPenaltyAccum(numRates int, scopes []Scope) *PenaltyAccum {
 			st.cells = make(map[int]*bankedCell)
 		case AP:
 			st.apCells = make(map[apCellKey]int32)
-			st.dict = make(map[float64]int32)
 		}
 		a.states = append(a.states, st)
 	}
@@ -392,10 +381,7 @@ func (a *PenaltyAccum) resolveCells(st *penaltyScopeState) {
 			}
 		}
 		st.exact += cell.counts[best]
-		for v, n := range cell.pend[best].m {
-			st.diffs.add(v, n)
-		}
-		st.diffs.nan += cell.pend[best].nan
+		st.diffs.merge(&cell.pend[best])
 	}
 	if len(st.cells) > 0 {
 		st.cells = make(map[int]*bankedCell)
@@ -411,13 +397,12 @@ func (st *penaltyScopeState) diffID(v float64) int32 {
 		}
 		return st.nanID
 	}
-	id, ok := st.dict[v]
-	if !ok {
-		id = int32(len(st.diffVals))
-		st.dict[v] = id
+	id := st.dict.cell(v)
+	if *id == 0 {
 		st.diffVals = append(st.diffVals, v)
+		*id = int64(len(st.diffVals))
 	}
-	return id
+	return int32(*id - 1)
 }
 
 // bankAP trains the current network's AP-scope cells and banks penalties
@@ -484,51 +469,47 @@ func (a *PenaltyAccum) resolveAP(st *penaltyScopeState) {
 	}
 }
 
-// observeLocal runs one non-global scope's train-and-replay over a single
-// network's completed cells: the same dense flat-buffer pass the batch
-// form used fleet-wide, shrunk to group scope, with the diffs folded into
-// the histogram instead of a per-sample slice.
+// observeLocal runs one non-global scope's train-and-replay over a
+// chunk's completed cells. chunkOrder lays each (instance, SNR) cell out
+// as one run of sample indices, so a cell trains into a per-rate scratch
+// row, predicts its most frequent rate (ties toward the lower index,
+// Lookup's rule), and replays its own samples into the histogram before
+// the next cell starts.
 func (a *PenaltyAccum) observeLocal(st *penaltyScopeState, group []Sample) {
-	nr := a.numRates
-	cellOf := make([]int32, len(group))
-	ids := make(map[penaltyCell]int32, 64)
-	for i := range group {
-		k := st.scope.penaltyCell(&group[i])
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
+	_ = ForEachSampleGroup(group, func(net []Sample) error {
+		a.observeLocalNet(st, net)
+		return nil
+	})
+}
+
+func (a *PenaltyAccum) observeLocalNet(st *penaltyScopeState, group []Sample) {
+	if len(st.rate) != a.numRates {
+		st.rate = make([]int64, a.numRates)
+	}
+	idx := st.ord.sort(group, st.scope, true)
+	for start := 0; start < len(idx); {
+		end := runEnd(group, idx, start, st.scope, true)
+		cell := idx[start:end]
+		clear(st.rate)
+		for _, i := range cell {
+			st.rate[group[i].Popt]++
 		}
-		cellOf[i] = id
-	}
-	counts := make([]int64, len(ids)*nr)
-	for i := range group {
-		counts[int(cellOf[i])*nr+group[i].Popt]++
-	}
-	// Most-frequent rate per cell, ties toward the lower index (Lookup's
-	// tie-break rule).
-	pred := make([]int32, len(ids))
-	for c := range pred {
-		row := counts[c*nr : (c+1)*nr]
-		best, bestN := int32(0), int64(0)
-		for ri, n := range row {
+		p, bestN := 0, int64(0)
+		for ri, n := range st.rate {
 			if n > bestN {
-				best, bestN = int32(ri), n
+				p, bestN = ri, n
 			}
 		}
-		pred[c] = best
-	}
-	for i := range group {
-		s := &group[i]
-		p := pred[cellOf[i]]
-		diff := s.BestTput - s.Tput[p]
-		if diff < 0 {
-			diff = 0
+		st.exact += bestN
+		for _, i := range cell {
+			s := &group[i]
+			diff := s.BestTput - s.Tput[p]
+			if diff < 0 {
+				diff = 0
+			}
+			st.diffs.add(diff, 1)
 		}
-		st.diffs.add(diff, 1)
-		if int(p) == s.Popt {
-			st.exact++
-		}
+		start = end
 	}
 }
 
@@ -657,6 +638,10 @@ type CoverageAccum struct {
 	held     []Sample
 	curNet   string
 	netSeen  bool
+
+	// eachCell's reusable scratch.
+	ord  chunkOrder
+	rate []int // one cell's per-rate training counts
 }
 
 // NewCoverageAccum prepares an incremental coverage run. minObs is the
@@ -696,9 +681,7 @@ func (a *CoverageAccum) ObserveGroup(group []Sample) {
 	case Link:
 		a.trainFold(group)
 	case Global:
-		for i := range group {
-			a.table.Add(&group[i])
-		}
+		a.tableAdd(group)
 	default:
 		// Network, AP: cells complete at the network boundary. The first
 		// chunk is held back so an unsplit network (the common case)
@@ -722,22 +705,36 @@ func (a *CoverageAccum) ObserveGroup(group []Sample) {
 	}
 }
 
-// trainFold trains a throwaway table over one complete-cell chunk and
-// folds it.
+// trainFold folds one complete-cell chunk straight into the aggregates.
 func (a *CoverageAccum) trainFold(group []Sample) {
-	tbl := Train(group, a.numRates, a.scope)
-	for _, inst := range tbl.counts {
-		for snrVal, c := range inst {
-			a.agg.addCell(snrVal, c)
-		}
-	}
+	a.eachCell(group, func(s *Sample, counts []int) { a.agg.addCell(s.SNR, counts) })
 }
 
-// tableAdd accumulates a chunk into the persistent per-network table.
+// tableAdd accumulates a chunk into the persistent table.
 func (a *CoverageAccum) tableAdd(group []Sample) {
-	for i := range group {
-		a.table.Add(&group[i])
+	a.eachCell(group, a.table.addCounts)
+}
+
+// eachCell trains one chunk a cell at a time: chunkOrder lays each
+// (instance, SNR) cell out as one run of samples, whose per-rate counts
+// go to fn with the run's first sample.
+func (a *CoverageAccum) eachCell(group []Sample, fn func(s *Sample, counts []int)) {
+	if len(a.rate) != a.numRates {
+		a.rate = make([]int, a.numRates)
 	}
+	_ = ForEachSampleGroup(group, func(net []Sample) error {
+		idx := a.ord.sort(net, a.scope, true)
+		for start := 0; start < len(idx); {
+			end := runEnd(net, idx, start, a.scope, true)
+			clear(a.rate)
+			for _, i := range idx[start:end] {
+				a.rate[net[i].Popt]++
+			}
+			fn(&net[idx[start]], a.rate)
+			start = end
+		}
+		return nil
+	})
 }
 
 // finishNet completes the previous network: a held unsplit chunk folds
@@ -820,7 +817,7 @@ func (a *TputAccum) Finalize() []TputPoint {
 			if row == nil || row.n < int64(a.minObs) {
 				continue
 			}
-			c := newCounted(row.cells[ri].m, row.cells[ri].nan)
+			c := newCounted(&row.cells[ri])
 			// The batch form's interpolation: hi is lo+1 whenever a next
 			// element exists, even at integral positions. Replicated
 			// exactly so the emitted float64s match bit for bit.
@@ -889,6 +886,12 @@ func (a *RateSetAccum) Finalize() map[int][]int {
 type StrategyAccum struct {
 	numRates, maxX int
 	results        []StrategyResult
+
+	// Per-chunk scratch: the link grouping and one link's dense
+	// SNR-indexed tables, reused across links and chunks.
+	ord    chunkOrder
+	pred   []int32 // per SNR offset: the rate the table predicts, -1 = no data
+	counts []int32 // per (SNR offset, rate): Subsampled/All training counts
 }
 
 // NewStrategyAccum prepares an incremental Figure 4.6 / Table 4.1 run.
@@ -909,28 +912,104 @@ func NewStrategyAccum(numRates, maxX int) *StrategyAccum {
 
 // ObserveGroup replays one chunk through every strategy. The chunk
 // contract (see PenaltyAccum) guarantees links never split across
-// chunks, so every link's online table runs its full sequence here.
+// chunks, so every link's online table runs its full sequence here. Links
+// replay in (From, To) order; every reported field is an integer sum over
+// links, so the order does not matter.
 func (a *StrategyAccum) ObserveGroup(group []Sample) {
-	byLink := make(map[string][]*Sample)
-	var keys []string
-	for i := range group {
-		k := Link.Key(&group[i])
-		if _, ok := byLink[k]; !ok {
-			keys = append(keys, k)
+	_ = ForEachSampleGroup(group, func(net []Sample) error {
+		idx := a.ord.sort(net, Link, false)
+		for start := 0; start < len(idx); {
+			end := runEnd(net, idx, start, Link, false)
+			a.replayLink(net, idx[start:end])
+			start = end
 		}
-		byLink[k] = append(byLink[k], &group[i])
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		seq := byLink[k]
-		sort.SliceStable(seq, func(x, y int) bool { return seq[x].T < seq[y].T })
-	}
-	for si, st := range Strategies {
-		res := &a.results[si]
-		for _, k := range keys {
-			replayLink(res, st, byLink[k], a.numRates, a.maxX)
+		return nil
+	})
+}
+
+// replayLink replays one link, given as indices into group in chunk
+// order, through every strategy.
+func (a *StrategyAccum) replayLink(group []Sample, seq []int32) {
+	// Time order; the sort is stable, so equal times keep chunk order.
+	for j := 1; j < len(seq); j++ {
+		if group[seq[j]].T < group[seq[j-1]].T {
+			slices.SortStableFunc(seq, func(x, y int32) int { return cmp.Compare(group[x].T, group[y].T) })
+			break
 		}
 	}
+	lo, hi := group[seq[0]].SNR, group[seq[0]].SNR
+	for _, i := range seq {
+		lo, hi = min(lo, group[i].SNR), max(hi, group[i].SNR)
+	}
+	for si := range a.results {
+		a.replay(&a.results[si], group, seq, lo, hi-lo+1)
+	}
+}
+
+// replay runs one strategy's online table over one time-ordered link
+// whose SNRs span [lo, lo+span), predicting before updating. The table is
+// dense over that range: pred holds the current prediction per SNR
+// offset and, for the counting strategies, counts the per-(SNR, rate)
+// training counts behind it.
+func (a *StrategyAccum) replay(res *StrategyResult, group []Sample, seq []int32, lo, span int) {
+	nr := a.numRates
+	a.pred = resize32(a.pred, span)
+	pred := a.pred
+	for c := range pred {
+		pred[c] = -1
+	}
+	var counts []int32
+	if res.Strategy == Subsampled || res.Strategy == All {
+		a.counts = resize32(a.counts, span*nr)
+		counts = a.counts
+		clear(counts)
+	}
+	updates, stored := 0, 0
+	for x, i := range seq {
+		s := &group[i]
+		c := s.SNR - lo
+		popt := int32(s.Popt)
+		if p := pred[c]; p >= 0 {
+			h := min(x, a.maxX)
+			res.Total[h]++
+			if p == popt {
+				res.Hits[h]++
+			}
+		} else {
+			res.Skipped++
+		}
+		switch res.Strategy {
+		case First:
+			if pred[c] < 0 {
+				pred[c] = popt
+				updates++
+				stored++
+			}
+		case MostRecent:
+			if pred[c] < 0 {
+				stored++
+			}
+			pred[c] = popt
+			updates++
+		case Subsampled, All:
+			// Subsampled counts every third probe set, plus always the
+			// first sighting of an SNR so predictions become possible.
+			if res.Strategy == Subsampled && x%3 != 0 && pred[c] >= 0 {
+				continue
+			}
+			row := counts[c*nr : (c+1)*nr]
+			row[popt]++
+			updates++
+			stored++
+			// The most frequent rate, ties toward the lower index: only
+			// the bumped rate can overtake the current prediction.
+			if b := pred[c]; b < 0 || row[popt] > row[b] || row[popt] == row[b] && popt < b {
+				pred[c] = popt
+			}
+		}
+	}
+	res.Updates += updates
+	res.MemEntries += stored
 }
 
 // Finalize returns the per-strategy results, identical to
@@ -940,45 +1019,84 @@ func (a *StrategyAccum) Finalize() []StrategyResult { return a.results }
 
 // TopKAccum is the incremental core of TopKCoverage at Link scope (the
 // §4.5 extension): link cells are complete within every chunk (see
-// PenaltyAccum's chunk contract), so each chunk trains its own table,
+// PenaltyAccum's chunk contract), so each chunk trains its own cells,
 // evaluates its own samples, and is discarded.
 type TopKAccum struct {
 	numRates        int
 	ks              []int
 	hits, evaluated []int
+
+	// Per-chunk scratch.
+	ord   chunkOrder
+	rate  []int32 // one cell's per-rate training counts
+	ranks []int   // samples per rank of their optimal rate in their cell
 }
 
-// NewTopKAccum prepares an incremental top-k candidate-set run.
+// NewTopKAccum prepares an incremental top-k candidate-set run. A k below
+// 1 means 1, as in Table.TopK.
 func NewTopKAccum(numRates int, ks []int) *TopKAccum {
 	return &TopKAccum{
 		numRates:  numRates,
-		ks:        ks,
+		ks:        normalizeKs(ks),
 		hits:      make([]int, len(ks)),
 		evaluated: make([]int, len(ks)),
 	}
 }
 
-// ObserveGroup trains on and evaluates one network's samples.
+// normalizeKs returns a copy of ks with every k below 1 raised to 1: a
+// candidate set always holds at least one rate.
+func normalizeKs(ks []int) []int {
+	out := make([]int, len(ks))
+	for i, k := range ks {
+		out[i] = max(k, 1)
+	}
+	return out
+}
+
+// ObserveGroup trains on and evaluates one chunk's samples. Every sample
+// trains its own cell, so every sample is evaluated; its optimal rate is
+// in the cell's top-k set exactly when fewer than k rates outrank it —
+// more training hits, or as many at a lower index (Table.TopK's order).
+// So the chunk only counts samples per rank and folds the counts into
+// every k at once.
 func (a *TopKAccum) ObserveGroup(group []Sample) {
-	if len(group) == 0 {
+	if len(group) == 0 || a.numRates == 0 {
 		return
 	}
-	tbl := Train(group, a.numRates, Link)
-	for ki, k := range a.ks {
-		for i := range group {
-			s := &group[i]
-			cands, ok := tbl.TopK(s, k)
-			if !ok {
-				continue
+	if len(a.rate) != a.numRates {
+		a.rate = make([]int32, a.numRates)
+		a.ranks = make([]int, a.numRates)
+	}
+	clear(a.ranks)
+	_ = ForEachSampleGroup(group, func(net []Sample) error {
+		idx := a.ord.sort(net, Link, true)
+		for start := 0; start < len(idx); {
+			end := runEnd(net, idx, start, Link, true)
+			clear(a.rate)
+			for _, i := range idx[start:end] {
+				a.rate[net[i].Popt]++
 			}
-			a.evaluated[ki]++
-			for _, ri := range cands {
-				if ri == s.Popt {
-					a.hits[ki]++
-					break
+			for p, n := range a.rate {
+				if n == 0 {
+					continue
 				}
+				rank := 0
+				for r, m := range a.rate {
+					if m > n || m == n && r < p {
+						rank++
+					}
+				}
+				a.ranks[rank] += int(n)
 			}
+			start = end
 		}
+		return nil
+	})
+	for ki, k := range a.ks {
+		for _, n := range a.ranks[:min(k, a.numRates)] {
+			a.hits[ki] += n
+		}
+		a.evaluated[ki] += len(group)
 	}
 }
 
@@ -987,17 +1105,7 @@ func (a *TopKAccum) ObserveGroup(group []Sample) {
 func (a *TopKAccum) Finalize() []TopKResult {
 	out := make([]TopKResult, 0, len(a.ks))
 	for ki, k := range a.ks {
-		res := TopKResult{K: k, Evaluated: a.evaluated[ki]}
-		if a.evaluated[ki] > 0 {
-			res.HitFrac = float64(a.hits[ki]) / float64(a.evaluated[ki])
-		}
-		if a.numRates > 0 {
-			res.ProbeReduction = 1 - float64(k)/float64(a.numRates)
-			if res.ProbeReduction < 0 {
-				res.ProbeReduction = 0
-			}
-		}
-		out = append(out, res)
+		out = append(out, topKResult(k, a.numRates, a.hits[ki], a.evaluated[ki]))
 	}
 	return out
 }

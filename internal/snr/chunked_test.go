@@ -196,15 +196,18 @@ func TestTputAccumMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStrategyAccumMatchesBatch: per-group strategy replay equals the
-// global replay (links never span networks; the counters are sums).
+// TestStrategyAccumMatchesBatch: per-group strategy replay, and its batch
+// wrapper ReplayStrategies, equal the map-based reference replay.
 func TestStrategyAccumMatchesBatch(t *testing.T) {
 	samples := simulated(t)
-	want := ReplayStrategies(samples, 7, 35)
+	want := referenceStrategies([][]Sample{samples}, 7, 35)
 	acc := NewStrategyAccum(7, 35)
 	feedGroups(t, samples, acc.ObserveGroup)
 	if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("chunked strategy replay diverges from batch")
+		t.Fatal("chunked strategy replay diverges from the reference")
+	}
+	if got := ReplayStrategies(samples, 7, 35); !reflect.DeepEqual(got, want) {
+		t.Fatal("ReplayStrategies diverges from the reference")
 	}
 }
 
@@ -320,11 +323,11 @@ func TestCoverageAccumSubChunkOracle(t *testing.T) {
 // online replays are unaffected by the chunking.
 func TestStrategyAccumSubChunkOracle(t *testing.T) {
 	samples := simulated(t)
-	want := ReplayStrategies(samples, 7, 35)
+	want := referenceStrategies([][]Sample{samples}, 7, 35)
 	acc := NewStrategyAccum(7, 35)
 	feedLinkChunks(t, samples, 16, acc.ObserveGroup)
 	if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("sub-chunked strategy replay diverges from batch")
+		t.Fatal("sub-chunked strategy replay diverges from the reference")
 	}
 }
 

@@ -23,30 +23,22 @@ package snr
 // merge folds another histogram into this one.
 func (h *diffHist) merge(o *diffHist) {
 	h.nan += o.nan
-	if len(o.m) == 0 {
-		return
-	}
-	if h.m == nil {
-		h.m = make(map[float64]int64, len(o.m))
-	}
-	for v, n := range o.m {
-		h.m[v] += n
+	for _, sl := range o.slots {
+		if sl.bits != emptyKey {
+			*h.cellBits(sl.bits) += sl.n
+		}
 	}
 }
 
-// histogram re-expands the counted form into a value→count map (the
-// inverse of newCounted, minus the NaN prefix).
-func (c *counted) histogram() map[float64]int64 {
-	if len(c.vals) == 0 {
-		return nil
-	}
-	m := make(map[float64]int64, len(c.vals))
+// addTo re-expands the counted form into a histogram (the inverse of
+// newCounted).
+func (c *counted) addTo(h *diffHist) {
+	h.nan += c.nan
 	prev := c.nan
 	for i, v := range c.vals {
-		m[v] = c.cum[i] - prev
+		h.add(v, c.cum[i]-prev)
 		prev = c.cum[i]
 	}
-	return m
 }
 
 // Merge folds another distribution into this one: the result is the
@@ -56,16 +48,10 @@ func (d *Dist) Merge(o *Dist) {
 	if o == nil || o.c.n == 0 {
 		return
 	}
-	m := d.c.histogram()
-	if m == nil {
-		m = make(map[float64]int64, len(o.c.vals))
-	}
-	prev := o.c.nan
-	for i, v := range o.c.vals {
-		m[v] += o.c.cum[i] - prev
-		prev = o.c.cum[i]
-	}
-	d.c = *newCounted(m, d.c.nan+o.c.nan)
+	var h diffHist
+	d.c.addTo(&h)
+	o.c.addTo(&h)
+	d.c = *newCounted(&h)
 }
 
 // Merge folds another penalty partial into this one. Both accumulators

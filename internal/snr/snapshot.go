@@ -48,15 +48,11 @@ const (
 // writeHist serializes a diffHist with sorted keys, so snapshot bytes are
 // deterministic for a given state.
 func writeHist(w *binio.Writer, h *diffHist) {
-	keys := make([]float64, 0, len(h.m))
-	for v := range h.m {
-		keys = append(keys, v)
-	}
-	sort.Float64s(keys)
-	w.Int(len(keys))
-	for _, v := range keys {
-		w.F64(v)
-		w.I64(h.m[v])
+	live := h.sorted()
+	w.Int(len(live))
+	for _, sl := range live {
+		w.F64(sl.value())
+		w.I64(sl.n)
 	}
 	w.I64(h.nan)
 }
@@ -67,18 +63,15 @@ func readHist(r *binio.Reader, h *diffHist) {
 	if r.Err() != nil {
 		return
 	}
-	if n > 0 {
-		h.m = make(map[float64]int64, n)
-		for i := 0; i < n; i++ {
-			v := r.F64()
-			c := r.I64()
-			if r.Err() != nil {
-				return
-			}
-			h.m[v] += c
+	for i := 0; i < n; i++ {
+		v := r.F64()
+		c := r.I64()
+		if r.Err() != nil {
+			return
 		}
+		h.add(v, c)
 	}
-	h.nan = r.I64()
+	h.nan += r.I64()
 }
 
 // writeCells serializes SNR-keyed banked cells in ascending key order.

@@ -2,6 +2,8 @@ package snr
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"reflect"
 	"testing"
@@ -173,4 +175,67 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	if err := NewPenaltyAccum(7, []Scope{Global}).Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("scope-set mismatch restored without error")
 	}
+}
+
+// snapshotDigests are the sha256 digests of every core's snapshot after
+// the first network and after half the fixture's networks, recorded from
+// the map-keyed kernels the dense ones replaced. Equal bytes mean
+// checkpoints written by either implementation resume under the other.
+var snapshotDigests = map[string][2]string{
+	"penalty":          {"7de93287b494e029f69b00ded3e1ae0c518754f63da304c9c03cd72c5b119a8d", "232366e91b1db03cf2fbc2f979031601a120e1030e85d74530370a71e222b357"},
+	"tput":             {"0a706cf613a492733b06f6b31e1c9cbb2b2a67af79d6ae084363af8b307c7d19", "d35b9a784db3f377988dc80d6f69896d6cbfadceed88ef6ac4c6d35de8363718"},
+	"rateset":          {"ed8a5041c31c3028cbc4f45cb568433f852aaa40c17aba5a64fa4f539442a3ca", "a5757fe5ee0b3cd6f84cc16b7965ba722bc1f5e0edefcf16b0e91fa6cb08cf38"},
+	"strategy":         {"d37120cca02f497bdc528683fc381391e1cc69e8893530aef52cc96b3810d415", "68e0526bb1751c6155f881e34bdb8a6cbb2891881233400e0e9df48ca4d31f42"},
+	"topk":             {"6fcb58c3b38ce125e78241c3f38fa915d0a1b652948fde3a60b93c856839fbba", "de16f26878c29a4ac9efe187be84fcd668cd2da32adf0386d1cdcb18df115f91"},
+	"coverage/global":  {"c9323da80deeb16498bf503b900436519131740500314495c27511a619bc1585", "5eac508e2c68b9320665ce60e2670b94e5f82e40b619fa0b20da11628df62046"},
+	"coverage/network": {"2856e90e7fcd9f97a785f0a991be3c033b26dd46a0b1b5b95b93e6036feb0b47", "b916a617281f3ce885fbfbabf4af56373946b7f17e0739530d53089b0c140caf"},
+	"coverage/ap":      {"26b9906c2a6d85a8873eafcd2dd7a7d026803ce9e4f32043e07d6ceb6403a869", "f6377debc1384c5ca8ead5eb1017b153882cc91a586fc1d9c3e9d504e503d407"},
+	"coverage/link":    {"808eaea186529a76fa20b6e2cc48c95cfc34e4f14c103d6cc9448b76d2bf5aac", "58755204c568300ce7b78026f87a059779ecc9ab134229520cc45b9f0b57d7c1"},
+}
+
+// TestSnapshotBytesPinned: every core's mid-fleet snapshot serializes
+// exactly the pinned bytes, both at whole-network feeding and when each
+// network arrives as link-aligned sub-chunks (which drives the penalty
+// core's AP and Network banking).
+func TestSnapshotBytesPinned(t *testing.T) {
+	groups := sampleGroups(t)
+	mids := [2]int{1, len(groups) / 2}
+	for _, tc := range snapCases() {
+		want, ok := snapshotDigests[tc.name]
+		if !ok {
+			t.Fatalf("%s: no pinned digest", tc.name)
+		}
+		for m, mid := range mids {
+			for _, subChunks := range []bool{false, true} {
+				c := tc.fresh()
+				for _, g := range groups[:mid] {
+					if subChunks && len(g) > 16 {
+						c.ObserveGroup(g[:linkBoundary(g, len(g)/2)])
+						c.ObserveGroup(g[linkBoundary(g, len(g)/2):])
+					} else {
+						c.ObserveGroup(g)
+					}
+				}
+				var buf bytes.Buffer
+				if err := c.Snapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != want[m] {
+					t.Errorf("%s after %d networks (sub-chunks %v): snapshot digest %s, pinned %s", tc.name, mid, subChunks, got, want[m])
+				}
+			}
+		}
+	}
+}
+
+// linkBoundary returns the first index at or after i where a new directed
+// link starts (len(g) if none).
+func linkBoundary(g []Sample, i int) int {
+	for ; i < len(g) && i > 0; i++ {
+		if g[i].From != g[i-1].From || g[i].To != g[i-1].To {
+			return i
+		}
+	}
+	return len(g)
 }

@@ -236,7 +236,19 @@ func Train(samples []Sample, numRates int, scope Scope) *Table {
 }
 
 // Add incorporates one sample into the table.
-func (t *Table) Add(sm *Sample) {
+func (t *Table) Add(sm *Sample) { t.cell(sm)[sm.Popt]++ }
+
+// addCounts adds per-rate optimal counts to the sample's (instance, SNR)
+// cell, as if each counted sample had been added.
+func (t *Table) addCounts(sm *Sample, counts []int) {
+	c := t.cell(sm)
+	for ri, n := range counts {
+		c[ri] += n
+	}
+}
+
+// cell returns the sample's (instance, SNR) count row, creating it.
+func (t *Table) cell(sm *Sample) []int {
 	key := t.Scope.instKey(sm)
 	bySNR, ok := t.counts[key]
 	if !ok {
@@ -248,7 +260,7 @@ func (t *Table) Add(sm *Sample) {
 		c = make([]int, t.NumRates)
 		bySNR[sm.SNR] = c
 	}
-	c[sm.Popt]++
+	return c
 }
 
 // Lookup predicts the optimal rate index for a sample's key and SNR: the
@@ -373,18 +385,6 @@ type PenaltyResult struct {
 	// ExactFrac is the fraction of probe sets where the prediction was
 	// exactly optimal.
 	ExactFrac float64
-}
-
-// penaltyCell identifies one (table instance, SNR) training cell under a
-// scope. It composes instKey so the scope-keying rules live in exactly
-// one place (Scope.instKey).
-type penaltyCell struct {
-	instKey
-	snr int32
-}
-
-func (s Scope) penaltyCell(sm *Sample) penaltyCell {
-	return penaltyCell{instKey: s.instKey(sm), snr: int32(sm.SNR)}
 }
 
 // Penalty trains a table at each scope on the full sample set and replays

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"meshlab/internal/dataset"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/mesh"
 	"meshlab/internal/phy"
 	"meshlab/internal/probe"
@@ -14,6 +15,8 @@ import (
 	"meshlab/internal/stats"
 	"meshlab/internal/topology"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // simData generates a small multi-network b/g probe dataset once per test
 // binary; several tests share it.

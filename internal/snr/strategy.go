@@ -73,16 +73,6 @@ func (r *StrategyResult) OverallAccuracy() float64 {
 	return float64(h) / float64(t)
 }
 
-// linkState is one link's online table under one strategy.
-type linkState struct {
-	firstVal  map[int]int   // SNR → first Popt
-	recentVal map[int]int   // SNR → last Popt
-	counts    map[int][]int // SNR → Popt counts
-	seen      int           // probe sets seen on this link
-	updates   int
-	stored    int
-}
-
 // ReplayStrategies replays every link's probe sets in time order through
 // each strategy, predicting before updating (Figure 4.6). maxX caps the
 // history-length axis; longer histories accumulate into the last bucket.
@@ -99,98 +89,4 @@ func ReplayStrategies(samples []Sample, numRates, maxX int) []StrategyResult {
 		return nil
 	})
 	return acc.Finalize()
-}
-
-// replayLink replays one link's time-ordered probe sets through one
-// strategy, folding the hit/total/update counters into res.
-func replayLink(res *StrategyResult, st Strategy, seq []*Sample, numRates, maxX int) {
-	ls := &linkState{
-		firstVal:  make(map[int]int),
-		recentVal: make(map[int]int),
-		counts:    make(map[int][]int),
-	}
-	for _, sm := range seq {
-		// Predict from current state.
-		pred, ok := ls.predict(st, sm.SNR)
-		if ok {
-			x := ls.seen
-			if x > maxX {
-				x = maxX
-			}
-			res.Total[x]++
-			if pred == sm.Popt {
-				res.Hits[x]++
-			}
-		} else {
-			res.Skipped++
-		}
-		ls.update(st, sm.SNR, sm.Popt, numRates)
-		ls.seen++
-	}
-	res.Updates += ls.updates
-	res.MemEntries += ls.stored
-}
-
-func (ls *linkState) predict(st Strategy, snr int) (int, bool) {
-	switch st {
-	case First:
-		v, ok := ls.firstVal[snr]
-		return v, ok
-	case MostRecent:
-		v, ok := ls.recentVal[snr]
-		return v, ok
-	default:
-		c, ok := ls.counts[snr]
-		if !ok {
-			return 0, false
-		}
-		best, bestN := -1, 0
-		for ri, n := range c {
-			if n > bestN {
-				best, bestN = ri, n
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		return best, true
-	}
-}
-
-func (ls *linkState) update(st Strategy, snr, popt, numRates int) {
-	switch st {
-	case First:
-		if _, ok := ls.firstVal[snr]; !ok {
-			ls.firstVal[snr] = popt
-			ls.updates++
-			ls.stored++
-		}
-	case MostRecent:
-		if _, ok := ls.recentVal[snr]; !ok {
-			ls.stored++
-		}
-		ls.recentVal[snr] = popt
-		ls.updates++
-	case Subsampled:
-		// Every third probe set, plus always the first sighting of an
-		// SNR so predictions become possible at all.
-		_, seenSNR := ls.counts[snr]
-		if ls.seen%3 != 0 && seenSNR {
-			return
-		}
-		ls.bump(snr, popt, numRates)
-	case All:
-		ls.bump(snr, popt, numRates)
-	}
-}
-
-func (ls *linkState) bump(snr, popt, numRates int) {
-	c, ok := ls.counts[snr]
-	if !ok {
-		c = make([]int, numRates)
-		ls.counts[snr] = c
-	}
-	c[popt]++
-	ls.updates++
-	ls.stored++
 }

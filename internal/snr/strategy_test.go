@@ -1,6 +1,9 @@
 package snr
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -162,5 +165,207 @@ func BenchmarkReplayStrategies(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ReplayStrategies(samples, 7, 35)
+	}
+}
+
+// The map-based replay below is the implementation StrategyAccum's dense
+// per-link tables replaced. It stays here as the independent oracle the
+// dense kernel is pinned against: links grouped by string key, each link
+// time-sorted and replayed through SNR-keyed maps.
+
+// linkState is one link's online table under one strategy.
+type linkState struct {
+	firstVal  map[int]int   // SNR → first Popt
+	recentVal map[int]int   // SNR → last Popt
+	counts    map[int][]int // SNR → Popt counts
+	seen      int           // probe sets seen on this link
+	updates   int
+	stored    int
+}
+
+// referenceReplay replays every link of one chunk through every strategy
+// into results (one per Strategies entry).
+func referenceReplay(results []StrategyResult, group []Sample, numRates, maxX int) {
+	byLink := make(map[string][]*Sample)
+	var keys []string
+	for i := range group {
+		k := Link.Key(&group[i])
+		if _, ok := byLink[k]; !ok {
+			keys = append(keys, k)
+		}
+		byLink[k] = append(byLink[k], &group[i])
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		seq := byLink[k]
+		sort.SliceStable(seq, func(x, y int) bool { return seq[x].T < seq[y].T })
+	}
+	for si, st := range Strategies {
+		for _, k := range keys {
+			replayLink(&results[si], st, byLink[k], numRates, maxX)
+		}
+	}
+}
+
+// referenceStrategies runs referenceReplay over every chunk.
+func referenceStrategies(chunks [][]Sample, numRates, maxX int) []StrategyResult {
+	var results []StrategyResult
+	for _, st := range Strategies {
+		results = append(results, StrategyResult{
+			Strategy: st, Hits: make([]int, maxX+1), Total: make([]int, maxX+1),
+		})
+	}
+	for _, c := range chunks {
+		referenceReplay(results, c, numRates, maxX)
+	}
+	return results
+}
+
+// replayLink replays one link's time-ordered probe sets through one
+// strategy, folding the hit/total/update counters into res.
+func replayLink(res *StrategyResult, st Strategy, seq []*Sample, numRates, maxX int) {
+	ls := &linkState{
+		firstVal:  make(map[int]int),
+		recentVal: make(map[int]int),
+		counts:    make(map[int][]int),
+	}
+	for _, sm := range seq {
+		pred, ok := ls.predict(st, sm.SNR)
+		if ok {
+			x := ls.seen
+			if x > maxX {
+				x = maxX
+			}
+			res.Total[x]++
+			if pred == sm.Popt {
+				res.Hits[x]++
+			}
+		} else {
+			res.Skipped++
+		}
+		ls.update(st, sm.SNR, sm.Popt, numRates)
+		ls.seen++
+	}
+	res.Updates += ls.updates
+	res.MemEntries += ls.stored
+}
+
+func (ls *linkState) predict(st Strategy, snr int) (int, bool) {
+	switch st {
+	case First:
+		v, ok := ls.firstVal[snr]
+		return v, ok
+	case MostRecent:
+		v, ok := ls.recentVal[snr]
+		return v, ok
+	default:
+		c, ok := ls.counts[snr]
+		if !ok {
+			return 0, false
+		}
+		best, bestN := -1, 0
+		for ri, n := range c {
+			if n > bestN {
+				best, bestN = ri, n
+			}
+		}
+		if best < 0 {
+			return 0, false
+		}
+		return best, true
+	}
+}
+
+func (ls *linkState) update(st Strategy, snr, popt, numRates int) {
+	switch st {
+	case First:
+		if _, ok := ls.firstVal[snr]; !ok {
+			ls.firstVal[snr] = popt
+			ls.updates++
+			ls.stored++
+		}
+	case MostRecent:
+		if _, ok := ls.recentVal[snr]; !ok {
+			ls.stored++
+		}
+		ls.recentVal[snr] = popt
+		ls.updates++
+	case Subsampled:
+		_, seenSNR := ls.counts[snr]
+		if ls.seen%3 != 0 && seenSNR {
+			return
+		}
+		ls.bump(snr, popt, numRates)
+	case All:
+		ls.bump(snr, popt, numRates)
+	}
+}
+
+func (ls *linkState) bump(snr, popt, numRates int) {
+	c, ok := ls.counts[snr]
+	if !ok {
+		c = make([]int, numRates)
+		ls.counts[snr] = c
+	}
+	c[popt]++
+	ls.updates++
+	ls.stored++
+}
+
+// networkChunks splits samples into per-network groups.
+func networkChunks(t testing.TB, samples []Sample) [][]Sample {
+	t.Helper()
+	var chunks [][]Sample
+	feedGroups(t, samples, func(g []Sample) { chunks = append(chunks, g) })
+	return chunks
+}
+
+// shuffledChunks returns a copy of each network's samples in a seeded
+// random order: links interleave and each link's probe sets arrive out
+// of time order, so the dense kernel's grouping and time sort both work.
+func shuffledChunks(t testing.TB, samples []Sample, seed int64) [][]Sample {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	var out [][]Sample
+	for _, c := range networkChunks(t, samples) {
+		c = append([]Sample(nil), c...)
+		r.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestStrategyAccumMatchesReference pins the dense replay against the
+// map-based reference on chunks whose links interleave out of time order,
+// at a history cap small enough to fold most predictions into the last
+// bucket and at the figure's own cap.
+func TestStrategyAccumMatchesReference(t *testing.T) {
+	samples := simulated(t)
+	for _, maxX := range []int{3, 35} {
+		for _, seed := range []int64{1, 2} {
+			chunks := shuffledChunks(t, samples, seed)
+			want := referenceStrategies(chunks, 7, maxX)
+			acc := NewStrategyAccum(7, maxX)
+			for _, c := range chunks {
+				acc.ObserveGroup(c)
+			}
+			if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("maxX=%d seed=%d: dense replay diverges from the map-based reference\n got %+v\nwant %+v", maxX, seed, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkStrategyAccum(b *testing.B) {
+	samples := simulated(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := NewStrategyAccum(7, 35)
+		_ = ForEachSampleGroup(samples, func(g []Sample) error {
+			acc.ObserveGroup(g)
+			return nil
+		})
+		_ = acc.Finalize()
 	}
 }

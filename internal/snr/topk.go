@@ -8,7 +8,10 @@ package snr
 // drops by the ratio of the candidate set to the full rate set, which is
 // the thesis's main hope for 802.11n and its "several dozen" rates.
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TopK returns the k most frequently optimal rate indices for the
 // sample's (scope key, SNR) cell, most frequent first. ok is false when
@@ -66,11 +69,11 @@ type TopKResult struct {
 
 // TopKCoverage trains a table at the given scope and evaluates, for each
 // k, how often the optimum lies in the top-k candidate set (in-sample, as
-// §4 does throughout).
+// §4 does throughout). A k below 1 means 1, as in Table.TopK.
 func TopKCoverage(samples []Sample, numRates int, scope Scope, ks []int) []TopKResult {
 	tbl := Train(samples, numRates, scope)
 	out := make([]TopKResult, 0, len(ks))
-	for _, k := range ks {
+	for _, k := range normalizeKs(ks) {
 		hits, evaluated := 0, 0
 		for i := range samples {
 			s := &samples[i]
@@ -79,24 +82,23 @@ func TopKCoverage(samples []Sample, numRates int, scope Scope, ks []int) []TopKR
 				continue
 			}
 			evaluated++
-			for _, ri := range cands {
-				if ri == s.Popt {
-					hits++
-					break
-				}
+			if slices.Contains(cands, s.Popt) {
+				hits++
 			}
 		}
-		res := TopKResult{K: k, Evaluated: evaluated}
-		if evaluated > 0 {
-			res.HitFrac = float64(hits) / float64(evaluated)
-		}
-		if numRates > 0 {
-			res.ProbeReduction = 1 - float64(k)/float64(numRates)
-			if res.ProbeReduction < 0 {
-				res.ProbeReduction = 0
-			}
-		}
-		out = append(out, res)
+		out = append(out, topKResult(k, numRates, hits, evaluated))
 	}
 	return out
+}
+
+// topKResult assembles one k's row from its counts.
+func topKResult(k, numRates, hits, evaluated int) TopKResult {
+	res := TopKResult{K: k, Evaluated: evaluated}
+	if evaluated > 0 {
+		res.HitFrac = float64(hits) / float64(evaluated)
+	}
+	if numRates > 0 {
+		res.ProbeReduction = max(1-float64(k)/float64(numRates), 0)
+	}
+	return res
 }

@@ -1,6 +1,9 @@
 package snr
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTopKOrderingAndTies(t *testing.T) {
 	mk := func(popt int) Sample {
@@ -78,5 +81,102 @@ func TestTopKProbeReduction(t *testing.T) {
 	}
 	if results[1].ProbeReduction != 0 {
 		t.Fatalf("k beyond the rate count should save nothing, got %v", results[1].ProbeReduction)
+	}
+}
+
+// referenceTopK is the Table.TopK-driven evaluation TopKAccum's dense
+// kernel replaced, kept as its oracle: each chunk trains a Link-scope
+// table and tests every sample's optimum against its cell's top-k list.
+func referenceTopK(chunks [][]Sample, numRates int, ks []int) []TopKResult {
+	hits, evaluated := make([]int, len(ks)), make([]int, len(ks))
+	for _, c := range chunks {
+		tbl := Train(c, numRates, Link)
+		for ki, k := range ks {
+			for i := range c {
+				cands, ok := tbl.TopK(&c[i], k)
+				if !ok {
+					continue
+				}
+				evaluated[ki]++
+				for _, ri := range cands {
+					if ri == c[i].Popt {
+						hits[ki]++
+						break
+					}
+				}
+			}
+		}
+	}
+	out := make([]TopKResult, len(ks))
+	for ki, k := range ks {
+		out[ki] = topKResult(k, numRates, hits[ki], evaluated[ki])
+	}
+	return out
+}
+
+// TestTopKAccumMatchesTableTopK pins the dense rank kernel against
+// Table.TopK at ks up to the full rate set, over whole-network,
+// link-aligned sub-chunk, and shuffled (links interleaved) feeds.
+func TestTopKAccumMatchesTableTopK(t *testing.T) {
+	samples := simulated(t)
+	ks := []int{1, 2, 3, 7}
+	feeds := map[string][][]Sample{
+		"networks": networkChunks(t, samples),
+		"shuffled": shuffledChunks(t, samples, 3),
+	}
+	var sub [][]Sample
+	feedLinkChunks(t, samples, 16, func(g []Sample) { sub = append(sub, g) })
+	feeds["sub-chunks"] = sub
+	for name, chunks := range feeds {
+		want := referenceTopK(chunks, 7, ks)
+		acc := NewTopKAccum(7, ks)
+		for _, c := range chunks {
+			acc.ObserveGroup(c)
+		}
+		if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: dense top-k diverges from Table.TopK\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestTopKNormalizesK: a k below 1 is a one-rate candidate set, so its
+// row must report k=1's hits and probe reduction, in both the chunked
+// core and the batch form; the caller's ks are not modified.
+func TestTopKNormalizesK(t *testing.T) {
+	samples := simulated(t)
+	ks := []int{0, -2, 1}
+	numRates := 7
+	acc := NewTopKAccum(numRates, ks)
+	feedGroups(t, samples, acc.ObserveGroup)
+	for name, rows := range map[string][]TopKResult{
+		"accum": acc.Finalize(),
+		"batch": TopKCoverage(samples, numRates, Link, ks),
+	} {
+		for i, r := range rows {
+			if r.K != 1 || r != rows[2] {
+				t.Fatalf("%s: row %d = %+v, want the k=1 row %+v", name, i, r, rows[2])
+			}
+		}
+		if want := 1 - 1/float64(numRates); rows[0].ProbeReduction != want {
+			t.Fatalf("%s: k=0 probe reduction %v, want %v", name, rows[0].ProbeReduction, want)
+		}
+	}
+	if ks[0] != 0 || ks[1] != -2 {
+		t.Fatalf("caller's ks modified: %v", ks)
+	}
+}
+
+func BenchmarkTopKAccum(b *testing.B) {
+	samples := simulated(b)
+	ks := []int{1, 2, 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := NewTopKAccum(7, ks)
+		_ = ForEachSampleGroup(samples, func(g []Sample) error {
+			acc.ObserveGroup(g)
+			return nil
+		})
+		_ = acc.Finalize()
 	}
 }

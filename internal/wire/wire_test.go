@@ -9,10 +9,13 @@ import (
 	"testing/quick"
 
 	"meshlab/internal/dataset"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/phy"
 	"meshlab/internal/rng"
 	"meshlab/internal/synth"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 var fleetOnce sync.Once
 var testFleet *dataset.Fleet
