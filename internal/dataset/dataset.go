@@ -46,7 +46,10 @@ type ProbeSet struct {
 	// SNRStd is the standard deviation of the reported SNR values within
 	// the window (Figure 3.1's quantity).
 	SNRStd float32 `json:"d"`
-	// Obs holds one entry per probed bit rate.
+	// Obs holds one entry per probed bit rate. It is read-only: within a
+	// network, the wire decoder hands every set with bit-identical
+	// observations the same row (len == cap, so an append copies), and
+	// writing through one set would change all of them.
 	Obs []Obs `json:"o"`
 }
 

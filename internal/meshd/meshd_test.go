@@ -15,8 +15,11 @@ import (
 	"time"
 
 	"meshlab"
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/report"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // tinySpecJSON is a 4-network scenario small enough to synthesize and
 // stream in well under a second, with a short client snapshot so the

@@ -262,7 +262,10 @@ func contextualError(t *testing.T, err error) {
 }
 
 // FuzzReader drives the streaming API: header walk with alternating
-// Decode/Skip, then the client and sample sections.
+// Decode/Skip, then the client and sample sections. Every input must
+// also decode exactly as the field-by-field oracle does, through every
+// read view: the same networks bit for bit, or the same error at the
+// same byte.
 func FuzzReader(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -271,6 +274,7 @@ func FuzzReader(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
+		requireDecodeMatchesOracle(t, data)
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			contextualError(t, err)

@@ -216,7 +216,8 @@ func (r *Reader) NextHeader() (*NetworkHeader, error) {
 
 // Decode reads the current network's body (APs and links) and returns the
 // full network dataset. On v2 files the consumed bytes are checked
-// against the record's declared length.
+// against the record's declared length. Probe sets whose observation
+// bytes are equal share one read-only Obs row (see rowTable).
 func (r *Reader) Decode() (*dataset.NetworkData, error) {
 	if r.sect != sectInNetwork {
 		return nil, fmt.Errorf("wire: Decode without a pending network header")
@@ -240,27 +241,21 @@ func (r *Reader) Decode() (*dataset.NetworkData, error) {
 		})
 	}
 	nLinks := rd.count("link", 1<<26)
+	rows := rowTable{rows: make(map[string][]dataset.Obs)}
+	var links []dataset.Link // block the Link structs are carved from
 	for l := 0; l < nLinks && rd.err == nil; l++ {
-		link := &dataset.Link{From: int(rd.u16()), To: int(rd.u16())}
+		if len(links) == 0 {
+			links = make([]dataset.Link, r.capHint(nLinks-l, linkMinLen))
+		}
+		link := &links[0]
+		links = links[1:]
+		link.From, link.To = int(rd.u16()), int(rd.u16())
 		nSets := rd.count("probe set", 1<<26)
 		if rd.err == nil && nSets > 0 {
-			link.Sets = make([]dataset.ProbeSet, 0, nSets)
+			link.Sets = make([]dataset.ProbeSet, 0, r.capHint(nSets, setHeaderLen))
 		}
 		for s := 0; s < nSets && rd.err == nil; s++ {
-			ps := dataset.ProbeSet{T: rd.i32(), SNR: rd.i16(), SNRStd: rd.f32()}
-			nObs := int(rd.u8())
-			for o := 0; o < nObs && rd.err == nil; o++ {
-				ri := rd.u8()
-				// Rate indices index the band's rate table downstream
-				// (snr.Flatten); bound them here so a corrupt file is an
-				// error, never a panic.
-				if ri >= nRates && rd.err == nil {
-					rd.err = corruptf("link %d→%d: observation rate index %d out of range for band %s (%d rates)",
-						link.From, link.To, ri, r.hdr.Band, nRates)
-				}
-				ps.Obs = append(ps.Obs, dataset.Obs{RateIdx: ri, Loss: rd.f32()})
-			}
-			link.Sets = append(link.Sets, ps)
+			link.Sets = append(link.Sets, r.decodeSet(&rows, link, nRates))
 		}
 		nd.Links = append(nd.Links, link)
 	}
@@ -275,6 +270,118 @@ func (r *Reader) Decode() (*dataset.NetworkData, error) {
 	}
 	r.sect = sectNetworks
 	return nd, nil
+}
+
+// Encoded sizes within a network record (docs/FORMAT.md): a link's
+// endpoints and set count, a probe set's fixed prefix (t, snr, snrStd,
+// obsCount), and one observation (rateIdx, loss).
+const (
+	linkMinLen   = 2 + 2 + 4
+	setHeaderLen = 4 + 2 + 4 + 1
+	obsLen       = 1 + 4
+)
+
+// capHint sizes a preallocation for n elements of at least minLen encoded
+// bytes each by the bytes the buffer already holds, so a corrupt count or
+// record length cannot demand memory the bytes present could not fill.
+// A short hint only costs an append's regrowth.
+func (r *Reader) capHint(n, minLen int) int {
+	return max(1, min(n, r.rd.r.Buffered()/minLen))
+}
+
+// decodeSet decodes one probe set. A set the buffer already holds whole
+// is parsed in place and consumed with one Discard. One that straddles
+// the buffer's end, or whose row carries an out-of-range rate index, is
+// read field by field instead: that refills the buffer, and reports a
+// truncation, an I/O fault or a bad rate index at the field where it
+// happens.
+func (r *Reader) decodeSet(rows *rowTable, link *dataset.Link, nRates uint8) dataset.ProbeSet {
+	br := r.rd.r
+	if n := br.Buffered(); n >= setHeaderLen {
+		b, _ := br.Peek(n) // buffered bytes only: never fills, never fails
+		need := setHeaderLen + obsLen*int(b[setHeaderLen-1])
+		if need <= n {
+			if row, ok := rows.intern(b[setHeaderLen:need], nRates); ok {
+				ps := dataset.ProbeSet{
+					T:      int32(binary.LittleEndian.Uint32(b)),
+					SNR:    int16(binary.LittleEndian.Uint16(b[4:])),
+					SNRStd: math.Float32frombits(binary.LittleEndian.Uint32(b[6:])),
+					Obs:    row,
+				}
+				br.Discard(need)
+				r.rd.n += int64(need)
+				return ps
+			}
+		}
+	}
+	rd := &r.rd
+	ps := dataset.ProbeSet{T: rd.i32(), SNR: rd.i16(), SNRStd: rd.f32()}
+	nObs := int(rd.u8())
+	raw := rows.scratch[:0]
+	for o := 0; o < nObs && rd.err == nil; o++ {
+		ri := rd.u8()
+		// Rate indices index the band's rate table downstream
+		// (snr.Flatten); bound them here so a corrupt file is an error,
+		// never a panic.
+		if ri >= nRates && rd.err == nil {
+			rd.err = corruptf("link %d→%d: observation rate index %d out of range for band %s (%d rates)",
+				link.From, link.To, ri, r.hdr.Band, nRates)
+		}
+		raw = append(raw, ri)
+		raw = append(raw, rd.read(4)...)
+	}
+	rows.scratch = raw
+	if rd.err == nil {
+		ps.Obs, _ = rows.intern(raw, nRates)
+	}
+	return ps
+}
+
+// rowTable interns the observation rows of one network decode. Rows are
+// keyed by their raw encoded bytes, so only bit-identical rows share
+// (−0 and +0, or two NaN payloads, stay distinct), and every set with the
+// same bytes gets the same []dataset.Obs, carved from block-allocated
+// backing with len == cap so a caller's append copies instead of writing
+// into a neighbor. Probe losses are quantized by the probe count, so a
+// network's rows repeat heavily and the table holds a few percent of its
+// sets.
+type rowTable struct {
+	rows    map[string][]dataset.Obs
+	block   []dataset.Obs // unused tail of the current backing block
+	scratch []byte        // a row read field by field
+}
+
+// rowBlockLen is the length of a row backing block: 32 KiB, small next
+// to any network with enough sets to fill one.
+const rowBlockLen = 1 << 12
+
+// intern returns the shared row for raw (obsLen bytes per observation),
+// or false when raw holds a rate index out of range for the band. Only
+// validated rows enter the table, so a hit needs no check.
+func (t *rowTable) intern(raw []byte, nRates uint8) ([]dataset.Obs, bool) {
+	if len(raw) == 0 {
+		return nil, true
+	}
+	if row, ok := t.rows[string(raw)]; ok {
+		return row, true
+	}
+	n := len(raw) / obsLen
+	for o := 0; o < n; o++ {
+		if raw[o*obsLen] >= nRates {
+			return nil, false
+		}
+	}
+	if len(t.block) < n {
+		t.block = make([]dataset.Obs, rowBlockLen)
+	}
+	row := t.block[:n:n]
+	t.block = t.block[n:]
+	for o := range row {
+		e := raw[o*obsLen:]
+		row[o] = dataset.Obs{RateIdx: e[0], Loss: math.Float32frombits(binary.LittleEndian.Uint32(e[1:]))}
+	}
+	t.rows[string(raw)] = row
+	return row, true
 }
 
 // Skip discards the current network's body without decoding it: a single

@@ -338,7 +338,9 @@ func TestFlattenerMatchesFlatten(t *testing.T) {
 
 // TestReaderTruncatedEverywhere cuts the stream at every boundary class —
 // header, mid-network, client section, sample section — and demands a
-// contextual error, never a panic or silent success.
+// contextual error, never a panic or silent success. Every cut of the
+// trimmed quick fleet must also decode exactly as the field-by-field
+// oracle does, through every read view.
 func TestReaderTruncatedEverywhere(t *testing.T) {
 	f := quickFleet(t)
 	v2, v2s, v1 := encodeVariants(t, f)
@@ -365,6 +367,12 @@ func TestReaderTruncatedEverywhere(t *testing.T) {
 			if _, err := ReadSamples(bytes.NewReader(data)); err == nil {
 				t.Fatalf("%s: ReadSamples of %d/%d bytes should error", name, cut, len(tc.full))
 			}
+		}
+	}
+	v2, _, v1 = encodeVariants(t, trimmedQuickFleet(t))
+	for _, full := range [][]byte{v2, v1} {
+		for k := 0; k <= 24; k++ {
+			requireDecodeMatchesOracle(t, full[:k*(len(full)-1)/24])
 		}
 	}
 }
