@@ -8,7 +8,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"meshlab/internal/leakcheck"
 )
+
+// TestMain fails the package if a test leaves a goroutine running — a
+// server, a warm, or a signal watcher that run() started.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestExitCodeContract pins the CLI-wide exit-code mapping: usage
 // errors (including flag-parse failures) are 2, everything else 1.

@@ -17,38 +17,76 @@ import (
 )
 
 func init() {
-	registerShared("abl4.off", "Ablation: per-link environment offsets drive per-link training's advantage", abl4off)
-	registerShared("abl4.burst", "Ablation: interference bursts drive optimal-rate churn at fixed SNR", abl4burst)
-	registerShared("abl5.sym", "Ablation: link asymmetry drives the ETX1/ETX2 improvement gap", abl5sym)
+	for _, a := range ablations {
+		registerShared(a.id, a.title, ablationResult(a.id))
+	}
 }
 
-// ablationFleets holds each ablation variant's fleet: a small probe-only
-// b/g fleet with one radio-parameter mutation, generated at most once per
-// process. Ablations deliberately use their own fixed-seed fleets rather
-// than the run's, so that the default and ablated runs differ only in the
-// mutated physics — and since the fleets do not depend on the run,
-// regenerating them per run would only repeat identical synthesis work.
-var ablationFleets = map[string]func() (*dataset.Fleet, error){
-	"default":    onceAblationFleet(nil),
-	"no-offsets": onceAblationFleet(func(p *radio.Params) { p.DisableOffsets = true }),
-	"no-bursts":  onceAblationFleet(func(p *radio.Params) { p.DisableBursts = true }),
+// ablations compare a small probe-only b/g fleet against the same fleet
+// with one radio-parameter mutation. Ablations deliberately use their own
+// fixed-seed fleets rather than the run's, so that the default and
+// ablated runs differ only in the mutated physics.
+var ablations = []struct {
+	id, title string
+	// variant names the mutated fleet, which only this ablation uses.
+	variant string
+	mutate  func(*radio.Params)
+	run     func(fleets map[string]*dataset.Fleet) (*Result, error)
+}{
+	{"abl4.off", "Ablation: per-link environment offsets drive per-link training's advantage",
+		"no-offsets", func(p *radio.Params) { p.DisableOffsets = true }, abl4off},
+	{"abl4.burst", "Ablation: interference bursts drive optimal-rate churn at fixed SNR",
+		"no-bursts", func(p *radio.Params) { p.DisableBursts = true }, abl4burst},
 	// Symmetric removes every per-direction divergence source: the
 	// explicit direction offset, the per-direction environment offsets,
 	// and interference bursts. Residual asymmetry is AR noise plus
 	// loss-report sampling error.
-	"symmetric": onceAblationFleet(func(p *radio.Params) {
-		p.DisableAsymmetry = true
-		p.DisableOffsets = true
-		p.DisableBursts = true
-	}),
+	{"abl5.sym", "Ablation: link asymmetry drives the ETX1/ETX2 improvement gap",
+		"symmetric", func(p *radio.Params) {
+			p.DisableAsymmetry = true
+			p.DisableOffsets = true
+			p.DisableBursts = true
+		}, abl5sym},
 }
 
-func onceAblationFleet(mutate func(*radio.Params)) func() (*dataset.Fleet, error) {
-	return sync.OnceValues(func() (*dataset.Fleet, error) { return generateAblationFleet(mutate) })
-}
+// ablationResults computes every ablation once per process. The results
+// depend only on constants, so later runs reuse them. The fleets exist
+// only while the results are computed: a process keeps three small
+// tables, not four fleets. The ablations run one after another, so at
+// most the default fleet and one mutated fleet are live at once; each
+// step already fans out over the worker budget inside synthesis and the
+// §4 kernels.
+var ablationResults = sync.OnceValues(func() (map[string]*Result, error) {
+	def, err := generateAblationFleet(nil)
+	if err != nil {
+		return nil, err
+	}
+	results := make(map[string]*Result, len(ablations))
+	for _, a := range ablations {
+		fleet, err := generateAblationFleet(a.mutate)
+		if err != nil {
+			return nil, err
+		}
+		res, err := a.run(map[string]*dataset.Fleet{"default": def, a.variant: fleet})
+		if err != nil {
+			return nil, err
+		}
+		results[a.id] = res
+	}
+	return results, nil
+})
 
-// ablationFleet returns the named variant's fleet.
-func ablationFleet(name string) (*dataset.Fleet, error) { return ablationFleets[name]() }
+// ablationResult is one ablation's finalize: a private copy of the
+// memoized Result, since Finalize writes ID and Title into what it gets.
+func ablationResult(id string) func(*StreamContext) (*Result, error) {
+	return func(*StreamContext) (*Result, error) {
+		results, err := ablationResults()
+		if err != nil {
+			return nil, err
+		}
+		return results[id].clone(), nil
+	}
+}
 
 func generateAblationFleet(mutate func(*radio.Params)) (*dataset.Fleet, error) {
 	opts := synth.Options{
@@ -77,16 +115,13 @@ func generateAblationFleet(mutate func(*radio.Params)) (*dataset.Fleet, error) {
 
 // abl4off removes the hidden per-link environment offsets and measures how
 // much of per-link training's advantage over global training survives.
-func abl4off(*StreamContext) (*Result, error) {
+func abl4off(fleets map[string]*dataset.Fleet) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "exact frac (global)", "exact frac (link)", "advantage (link−global)",
 	}}
 	var gaps []float64
 	for _, variant := range []string{"default", "no-offsets"} {
-		fleet, err := ablationFleet(variant)
-		if err != nil {
-			return nil, err
-		}
+		fleet := fleets[variant]
 		samples, err := snr.Flatten(fleet.ByBand("bg"))
 		if err != nil {
 			return nil, err
@@ -106,14 +141,11 @@ func abl4off(*StreamContext) (*Result, error) {
 
 // abl4burst removes interference bursts and measures how often an SNR's
 // optimal rate churns over time on a single link.
-func abl4burst(*StreamContext) (*Result, error) {
+func abl4burst(fleets map[string]*dataset.Fleet) (*Result, error) {
 	res := &Result{Header: []string{"variant", "(link,SNR) cells", "frac cells with churn"}}
 	var churns []float64
 	for _, variant := range []string{"default", "no-bursts"} {
-		fleet, err := ablationFleet(variant)
-		if err != nil {
-			return nil, err
-		}
+		fleet := fleets[variant]
 		samples, err := snr.Flatten(fleet.ByBand("bg"))
 		if err != nil {
 			return nil, err
@@ -151,17 +183,14 @@ func abl4burst(*StreamContext) (*Result, error) {
 
 // abl5sym removes per-direction asymmetry and measures the ETX2-over-ETX1
 // improvement gap.
-func abl5sym(*StreamContext) (*Result, error) {
+func abl5sym(fleets map[string]*dataset.Fleet) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "mean |log asym ratio|", "median improvement ETX1 @1M", "median improvement ETX2 @1M", "gap",
 	}}
 	ri := phy.BandBG.RateIndex("1M")
 	var gaps, asyms []float64
 	for _, variant := range []string{"default", "symmetric"} {
-		fleet, err := ablationFleet(variant)
-		if err != nil {
-			return nil, err
-		}
+		fleet := fleets[variant]
 		// Asymmetry magnitude: mean |log(fwd/rev)| over measured pairs.
 		var asymSum float64
 		asymN := 0

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -62,18 +63,49 @@ func TestAblationSymmetry(t *testing.T) {
 	}
 }
 
-func TestAblationFleetCached(t *testing.T) {
-	// The cache is process-wide: repeated requests — even across
-	// runs — must return the same fleet instance.
-	a, err := ablationFleet("default")
+// TestAblationResultsMemoized pins the ablation memo's contract: every
+// run sees the same tables, each caller gets a private copy (Finalize
+// writes ID and Title into it), and concurrent Finalizes share the one
+// computation without racing.
+func TestAblationResultsMemoized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablations generate fleets")
+	}
+	ids := []string{"abl4.off", "abl4.burst", "abl5.sym"}
+	f := quickFleet(t)
+	runs := make([][]*Result, 4)
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = runFleet(f, 1, ids...)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := runs[0], runs[1]
+	compareRuns(t, "second run vs first", second, first)
+	for i := range first {
+		if first[i] == second[i] {
+			t.Fatalf("%s: two runs share one *Result", first[i].ID)
+		}
+		want := second[i].Format()
+		first[i].Rows[0][0] = "mutated"
+		first[i].Header[0] = "mutated"
+		first[i].Notes = append(first[i].Notes[:0], "mutated")
+		if got := second[i].Format(); got != want {
+			t.Fatalf("%s: mutating one run's result changed another's:\n%s", first[i].ID, got)
+		}
+	}
+	third, err := runFleet(f, 1, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ablationFleet("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("ablation fleet not cached")
-	}
+	compareRuns(t, "run after a caller mutated its copy", third, second)
 }

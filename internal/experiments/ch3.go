@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"meshlab/internal/dataset"
 	"meshlab/internal/stats"
@@ -22,15 +23,20 @@ type fig31Acc struct {
 
 func (a *fig31Acc) observe(nv *NetView) error {
 	nd := nv.Data()
-	var netSNRs []float64
+	sets := 0
 	for _, l := range nd.Links {
-		var linkSNRs []float64
+		sets += len(l.Sets)
+	}
+	a.probeStds = slices.Grow(a.probeStds, sets)
+	a.linkStds = slices.Grow(a.linkStds, len(nd.Links))
+	netSNRs := make([]float64, 0, sets)
+	for _, l := range nd.Links {
+		start := len(netSNRs)
 		for _, ps := range l.Sets {
 			a.probeStds = append(a.probeStds, float64(ps.SNRStd))
-			linkSNRs = append(linkSNRs, float64(ps.SNR))
 			netSNRs = append(netSNRs, float64(ps.SNR))
 		}
-		if len(linkSNRs) >= 2 {
+		if linkSNRs := netSNRs[start:]; len(linkSNRs) >= 2 {
 			a.linkStds = append(a.linkStds, stats.Std(linkSNRs))
 		}
 	}
@@ -40,6 +46,8 @@ func (a *fig31Acc) observe(nv *NetView) error {
 	return nil
 }
 
+// finalize sorts each series once, in place: the quantile rows and the
+// median notes read the same sorted run.
 func (a *fig31Acc) finalize(*StreamContext) (*Result, error) {
 	if len(a.probeStds) == 0 {
 		return nil, fmt.Errorf("no probe sets in fleet")
@@ -47,18 +55,18 @@ func (a *fig31Acc) finalize(*StreamContext) (*Result, error) {
 
 	quants := []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.975, 0.99}
 	res := &Result{Header: []string{"series", "n", "p10", "p25", "p50", "p75", "p90", "p97.5", "p99"}}
-	for _, series := range []struct {
+	series := []struct {
 		name string
-		xs   []float64
+		cdf  *stats.CDF
 	}{
-		{"probe-sets", a.probeStds},
-		{"links", a.linkStds},
-		{"networks", a.netStds},
-	} {
-		row := []string{series.name, itoa(len(series.xs))}
-		cdf := stats.NewCDF(series.xs)
+		{"probe-sets", stats.NewCDFInPlace(a.probeStds)},
+		{"links", stats.NewCDFInPlace(a.linkStds)},
+		{"networks", stats.NewCDFInPlace(a.netStds)},
+	}
+	for _, sr := range series {
+		row := []string{sr.name, itoa(sr.cdf.N())}
 		for _, q := range quants {
-			row = append(row, f2(cdf.Quantile(q)))
+			row = append(row, f2(sr.cdf.Quantile(q)))
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -67,7 +75,7 @@ func (a *fig31Acc) finalize(*StreamContext) (*Result, error) {
 		stats.FractionAtMost(a.probeStds, 5)))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"median per-network SNR spread %.1f dB vs per-probe-set %.1f dB (networks hold diverse links)",
-		stats.Median(a.netStds), stats.Median(a.probeStds)))
+		series[2].cdf.Quantile(0.5), series[0].cdf.Quantile(0.5)))
 	return res, nil
 }
 

@@ -46,7 +46,6 @@ func init() {
 // the figure's message is that most SNRs see several different optimal
 // rates.
 type fig41Acc struct {
-	sampleAcc
 	sets *snr.RateSetAccum
 }
 
@@ -96,7 +95,6 @@ func (a *fig41Acc) finalize(*StreamContext) (*Result, error) {
 // coverageAcc reproduces Figures 4.2/4.3 for one band: one incremental
 // coverage core per scope, fanned across the worker budget per group.
 type coverageAcc struct {
-	sampleAcc
 	band  string
 	scope []*snr.CoverageAccum
 	note  string
@@ -161,7 +159,6 @@ func (a *coverageAcc) finalize(*StreamContext) (*Result, error) {
 // quantile row is computed without ever materializing a per-sample Diffs
 // slice.
 type fig44Acc struct {
-	sampleAcc
 	bands []fig44Band
 }
 
@@ -214,7 +211,6 @@ func (a *fig44Acc) finalize(*StreamContext) (*Result, error) {
 // fig45Acc reproduces Figure 4.5: median throughput (with quartiles)
 // versus SNR per b/g rate, at 5 dB steps.
 type fig45Acc struct {
-	sampleAcc
 	tput *snr.TputAccum
 }
 
@@ -248,7 +244,6 @@ const fig46MaxX = 35
 // fig46Acc reproduces Figure 4.6: prediction accuracy versus probe sets
 // seen, for the four online strategies.
 type fig46Acc struct {
-	sampleAcc
 	strat *snr.StrategyAccum
 }
 
@@ -286,7 +281,6 @@ func (a *fig46Acc) finalize(*StreamContext) (*Result, error) {
 // tab41Acc reproduces Table 4.1: update frequency and memory per
 // strategy, with measured counts from replaying the fleet.
 type tab41Acc struct {
-	sampleAcc
 	strat *snr.StrategyAccum
 }
 

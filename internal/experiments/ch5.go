@@ -30,17 +30,6 @@ func routable(nd *dataset.NetworkData) bool {
 	return nd.Info.Band == "bg" && nd.NumAPs() >= 5
 }
 
-// prepareImprovements warms a routable network's full (rate, variant)
-// improvement sweep on a pipeline worker; a single request computes every
-// pair.
-func prepareImprovements(nv *NetView) error {
-	if !routable(nv.Data()) {
-		return nil
-	}
-	_, err := nv.Improvements(0, routing.ETX1)
-	return err
-}
-
 // fig51Acc reproduces Figure 5.1: the distribution of per-pair improvement
 // of idealized opportunistic routing over ETX1 and ETX2, per bit rate,
 // over all b/g networks with at least five APs.
@@ -57,8 +46,6 @@ func newFig51Acc() *fig51Acc {
 		small: map[impKey]int{},
 	}
 }
-
-func (a *fig51Acc) prepare(nv *NetView) error { return prepareImprovements(nv) }
 
 func (a *fig51Acc) observe(nv *NetView) error {
 	if !routable(nv.Data()) {
@@ -121,14 +108,6 @@ type fig52Acc struct {
 	ratios map[int][]float64
 }
 
-func (a *fig52Acc) prepare(nv *NetView) error {
-	if nv.Data().Info.Band != "bg" {
-		return nil
-	}
-	_, err := nv.Matrices()
-	return err
-}
-
 func (a *fig52Acc) observe(nv *NetView) error {
 	if nv.Data().Info.Band != "bg" {
 		return nil
@@ -174,8 +153,6 @@ type fig53Acc struct {
 	hops map[int][]float64
 }
 
-func (a *fig53Acc) prepare(nv *NetView) error { return prepareImprovements(nv) }
-
 func (a *fig53Acc) observe(nv *NetView) error {
 	if !routable(nv.Data()) {
 		return nil
@@ -218,8 +195,6 @@ func (a *fig53Acc) finalize(*StreamContext) (*Result, error) {
 type fig54Acc struct {
 	byHops map[int][]float64
 }
-
-func (a *fig54Acc) prepare(nv *NetView) error { return prepareImprovements(nv) }
 
 func (a *fig54Acc) observe(nv *NetView) error {
 	if !routable(nv.Data()) {
@@ -284,8 +259,6 @@ type netPoint struct {
 type fig55Acc struct {
 	pts []netPoint
 }
-
-func (a *fig55Acc) prepare(nv *NetView) error { return prepareImprovements(nv) }
 
 func (a *fig55Acc) observe(nv *NetView) error {
 	nd := nv.Data()

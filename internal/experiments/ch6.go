@@ -43,23 +43,10 @@ func (a *censusBG) observeAt(nv *NetView, threshold float64) error {
 	return nil
 }
 
-func prepareHidden(nv *NetView, thresholds ...float64) error {
-	if nv.Data().Info.Band != "bg" {
-		return nil
-	}
-	for _, th := range thresholds {
-		if _, err := nv.Hidden(th); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fig61Acc reproduces Figure 6.1: the CDF over networks of the fraction
 // of relevant triples that are hidden, per bit rate, at a 10% threshold.
 type fig61Acc struct{ censusBG }
 
-func (a *fig61Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *fig61Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
 func (a *fig61Acc) finalize(*StreamContext) (*Result, error) {
@@ -94,7 +81,6 @@ func (a *fig61Acc) finalize(*StreamContext) (*Result, error) {
 // of range(rate)/range(1M).
 type fig62Acc struct{ censusBG }
 
-func (a *fig62Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *fig62Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
 func (a *fig62Acc) finalize(*StreamContext) (*Result, error) {
@@ -131,7 +117,6 @@ func (a *fig62Acc) finalize(*StreamContext) (*Result, error) {
 // environment at finalize.
 type sec63Acc struct{ censusBG }
 
-func (a *sec63Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *sec63Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
 func (a *sec63Acc) finalize(*StreamContext) (*Result, error) {
@@ -178,8 +163,6 @@ func (a *sec63Acc) finalize(*StreamContext) (*Result, error) {
 type abl6tAcc struct {
 	censuses map[float64][]*hidden.NetworkResult
 }
-
-func (a *abl6tAcc) prepare(nv *NetView) error { return prepareHidden(nv, abl6tThresholds...) }
 
 func (a *abl6tAcc) observe(nv *NetView) error {
 	if nv.Data().Info.Band != "bg" {

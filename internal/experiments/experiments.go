@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,6 +27,18 @@ type Result struct {
 	Rows   [][]string
 	// Notes carries headline scalars and shape checks in prose.
 	Notes []string
+}
+
+// clone returns a deep copy of the result.
+func (r *Result) clone() *Result {
+	c := *r
+	c.Header = slices.Clone(r.Header)
+	c.Rows = make([][]string, len(r.Rows))
+	for i, row := range r.Rows {
+		c.Rows[i] = slices.Clone(row)
+	}
+	c.Notes = slices.Clone(r.Notes)
+	return &c
 }
 
 // Format renders the result as aligned plain text. Rows may carry more
@@ -67,30 +80,33 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
-// accumulator is the streaming decomposition of one experiment: observe
-// is called once per network in fleet order (with per-network derived
-// data available through the NetView), then finalize renders the Result
+// accumulator is the streaming decomposition of one experiment: state
+// that grows as data arrives, a merge that folds another accumulator of
+// the same experiment into it, and a finalize that renders the Result
 // from the accumulated state plus the run's fleet-wide state (client
 // data, the §7 mobility analysis). StreamContext is the one executor of
 // accumulators, whether its networks come from a dataset file, a shard,
 // or an in-memory fleet.
 //
-// observe and finalize are never called concurrently on one accumulator,
-// but an accumulator that also implements preparer must keep prepare free
-// of accumulator state: prepare runs on pipeline workers across several
-// in-flight networks at once.
+// merge(other) must leave the receiver as if it had seen its own data
+// followed by other's. The streaming collector folds one-network partials
+// with it in fleet order, and the shard runner folds whole shards in
+// shard order (merge.go argues why both are exact). merge and finalize
+// are never called concurrently on one accumulator.
 type accumulator interface {
-	observe(nv *NetView) error
+	merge(other accumulator) error
 	finalize(sc *StreamContext) (*Result, error)
 }
 
-// preparer is implemented by accumulators whose per-network work is
-// expensive (routing solutions, triple censuses). prepare is invoked on a
-// pipeline worker before the ordered observe call and should touch the
-// NetView's derived data so the heavy computation happens off the
-// serial path; it must not mutate the accumulator.
-type preparer interface {
-	prepare(nv *NetView) error
+// netObserver is implemented by the accumulators that read networks. The
+// engine calls observe only on a fresh accumulator from the experiment's
+// newAcc, once, on a pipeline worker: the receiver becomes that network's
+// partial, which the collector then merges into the run's accumulator in
+// fleet order. observe may therefore do all of its per-network work —
+// routing, censuses, simulations — and append freely; it shares nothing
+// with other networks' measurements except through its own partial.
+type netObserver interface {
+	observe(nv *NetView) error
 }
 
 // sampleObserver is implemented by the §4 accumulators, which consume the
@@ -109,12 +125,6 @@ type sampleObserver interface {
 	observeSampleGroup(band string, samples []snr.Sample) error
 }
 
-// sampleAcc is the embeddable base of §4 accumulators: the network walk
-// is skipped entirely (state accrues through observeSampleGroup).
-type sampleAcc struct{}
-
-func (sampleAcc) observe(*NetView) error { return nil }
-
 // sharedOnly adapts an experiment that consumes no per-network data —
 // §7 client mobility, ablations over their own fleets — to the
 // accumulator interface. The walk skips these entirely.
@@ -122,7 +132,6 @@ type sharedOnly struct {
 	run func(*StreamContext) (*Result, error)
 }
 
-func (sharedOnly) observe(*NetView) error                        { return nil }
 func (s sharedOnly) finalize(sc *StreamContext) (*Result, error) { return s.run(sc) }
 
 // runner executes one experiment: a fresh accumulator per run.

@@ -12,7 +12,7 @@ import (
 )
 
 // TestMain fails the package if a test leaves a pipeline goroutine — a
-// collector or a prepare worker — running.
+// collector or a measuring worker — running.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 var fleetOnce sync.Once

@@ -28,7 +28,6 @@ func init() {
 // chunked core trains and evaluates one network at a time — identical to
 // the batch TopKCoverage by the snr package's oracle.
 type ext4topkAcc struct {
-	sampleAcc
 	bands []ext4topkBand
 }
 
@@ -82,14 +81,6 @@ type ext5ettAcc struct {
 	rateWins []int
 }
 
-func (a *ext5ettAcc) prepare(nv *NetView) error {
-	if !routable(nv.Data()) {
-		return nil
-	}
-	_, err := nv.Matrices()
-	return err
-}
-
 func (a *ext5ettAcc) observe(nv *NetView) error {
 	if !routable(nv.Data()) {
 		return nil
@@ -98,7 +89,15 @@ func (a *ext5ettAcc) observe(nv *NetView) error {
 	if err != nil {
 		return err
 	}
-	r := routing.CompareETT(ms, phy.BandBG, 0, 0)
+	// The fixed-rate schemes are the ETX1 solutions the §5 figures
+	// already solved for this network.
+	etx := make(map[int]*routing.Paths, len(phy.BandBG.Rates))
+	for ri := range phy.BandBG.Rates {
+		if etx[ri], err = nv.Paths(ri, routing.ETX1); err != nil {
+			return err
+		}
+	}
+	r := routing.CompareETTFrom(ms, etx, phy.BandBG, 0, 0)
 	if r.Pairs == 0 || r.BestFixedRate < 0 {
 		return nil
 	}
@@ -151,14 +150,6 @@ const (
 	ext6Slots     = 20000
 	ext6PerNet    = 12 // sampled triples per network
 )
-
-func (a *ext6macAcc) prepare(nv *NetView) error {
-	if nv.Data().Info.Band != "bg" {
-		return nil
-	}
-	_, err := nv.Matrices()
-	return err
-}
 
 func (a *ext6macAcc) observe(nv *NetView) error {
 	nd := nv.Data()

@@ -1,15 +1,19 @@
 package experiments
 
-// merge.go makes every experiment accumulator mergeable: a shard runner
-// (internal/shard) runs one StreamContext per contiguous network-range
-// shard, then folds the partials — in shard order — into one context
-// whose Finalize emits tables byte-identical to a whole-fleet run.
+// merge.go is the fold of the streaming engine. Every accumulator merges
+// another accumulator of its experiment into itself. The streaming
+// collector folds each network's one-network partial, measured on a
+// pipeline worker, into the run's accumulators in fleet order. The shard
+// runner (internal/shard) runs one StreamContext per contiguous
+// network-range shard and folds the shards' contexts, in shard order,
+// into one context. Either way Finalize emits tables byte-identical to a
+// single serial pass.
 //
 // Why the fold is exact: each accumulator's persistent state is either
 // (a) integer counters / count-histogram tables (the §4 cores), where
 // merge is addition with no floating-point reassociation, or (b) values
 // appended once per network in fleet order (the §3/§5/§6 censuses), where
-// concatenating contiguous shards in shard order reproduces the exact
+// concatenating contiguous runs of networks in order reproduces the exact
 // fleet-order sequence. Shared-only experiments (§7, the ablations) keep
 // no per-network state at all — their merge is a no-op and their finalize
 // runs once, on the merged context.
@@ -20,15 +24,6 @@ import (
 	"fmt"
 	"slices"
 )
-
-// merger is implemented by every registered accumulator: fold other (an
-// accumulator of the same experiment, produced by the same newAcc) into
-// the receiver. StreamContext.Merge drives it index-aligned over the
-// selection, so a future accumulator that forgets to implement it fails
-// loudly there rather than silently dropping a shard's data.
-type merger interface {
-	merge(other accumulator) error
-}
 
 // mergeAs asserts other to the receiver's concrete type and applies fn.
 func mergeAs[T accumulator](dst T, other accumulator, fn func(dst, src T)) error {
@@ -197,7 +192,7 @@ func (a *ext6macAcc) merge(o accumulator) error {
 	})
 }
 
-// Drain shuts the pipeline down and applies every in-flight network to
+// Drain shuts the pipeline down and folds every in-flight network into
 // the accumulators — Finalize's first half, without rendering results.
 // After Drain the context must not be observed again; its remaining uses
 // are Merge (in either direction) and, on the merge target, Finalize.
@@ -233,11 +228,7 @@ func (s *StreamContext) Merge(o *StreamContext) error {
 		return fmt.Errorf("experiments: Merge across different experiment selections (%v vs %v)", s.ids, o.ids)
 	}
 	for i, acc := range s.accs {
-		m, ok := acc.(merger)
-		if !ok {
-			return fmt.Errorf("experiments: %s: accumulator %T does not implement merge", s.ids[i], acc)
-		}
-		if err := m.merge(o.accs[i]); err != nil {
+		if err := acc.merge(o.accs[i]); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
 		}
 	}

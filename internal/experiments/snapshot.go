@@ -431,7 +431,7 @@ func (a *ext6macAcc) restore(r *binio.Reader) error {
 // StreamContext integration.
 
 // Flush blocks until every network already accepted by Observe has been
-// applied to the accumulators, and returns the first pipeline error. It
+// folded into the accumulators, and returns the first pipeline error. It
 // must be called from the driver goroutine (never concurrently with
 // Observe); afterwards the accumulators are quiescent until the next
 // Observe/ObserveSampleGroup.

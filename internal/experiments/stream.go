@@ -3,15 +3,16 @@ package experiments
 // stream.go implements the experiment suite's one execution engine. A
 // StreamContext consumes a fleet one network at a time — decoded off a
 // wire.Reader walk (meshlab.StreamFleet, or one shard of internal/shard)
-// or taken from an in-memory fleet (meshlab.AnalyzeFleet) — runs every
-// selected experiment's accumulator over each network before the network
-// is released, and finalizes into []*Result. The §4 samples flow the same
-// way: per-network groups (flattened off the walk, or streamed from a
-// file's flat-sample section) feed chunked accumulators and are released,
-// so peak memory is bounded by the derived tables the accumulators retain
-// (improvement distributions, censuses, count/histogram tables) plus the
-// bounded window of in-flight networks — never by the fleet or the
-// sample count.
+// or taken from an in-memory fleet (meshlab.AnalyzeFleet). Each network
+// is measured on a pipeline worker into one-network partials of the
+// selected experiments and released; the collector merges the partials
+// into the run's accumulators in fleet order, and Finalize renders them
+// into []*Result. The §4 samples flow the same way: per-network groups
+// (flattened off the walk, or streamed from a file's flat-sample
+// section) feed chunked accumulators and are released, so peak memory is
+// bounded by the derived tables the accumulators retain (improvement
+// distributions, censuses, count/histogram tables) plus the bounded
+// window of in-flight networks — never by the fleet or the sample count.
 
 import (
 	"fmt"
@@ -25,14 +26,27 @@ import (
 	"meshlab/internal/snr"
 )
 
-// NetView hands an observer one network plus its derived data — routing
-// success matrices, opportunistic-routing comparisons, hidden-triple
-// censuses — computed at most once per network no matter how many
-// experiments ask. Views are not safe for concurrent use; the pipeline
-// hands each network's view to one goroutine at a time.
+// NetView hands a measuring accumulator one network plus its derived
+// data — routing success matrices, shortest-path solutions,
+// opportunistic-routing comparisons, hidden-triple censuses — computed
+// at most once per network no matter how many experiments ask. A view
+// lives on one pipeline worker for one network's measurement: the worker
+// runs every selected experiment's observe against it, then drops it.
+// Views are not safe for concurrent use; only solve fans out, and its
+// tasks write disjoint slots.
 type NetView struct {
 	nd *dataset.NetworkData
-	d  *streamDerived
+
+	ms     map[int]routing.Matrix
+	msErr  error
+	msDone bool
+
+	// paths and imps hold one entry per (variant, rate), at
+	// int(variant)*len(ms) + rate; nil until solved.
+	paths []*routing.Paths
+	imps  [][]routing.PairResult
+
+	hiddens map[float64]*hidden.NetworkResult
 }
 
 // Data returns the decoded network.
@@ -40,110 +54,112 @@ func (nv *NetView) Data() *dataset.NetworkData { return nv.nd }
 
 // Matrices returns the network's per-rate mean success matrices.
 func (nv *NetView) Matrices() (map[int]routing.Matrix, error) {
-	return nv.d.netMatrices(nv.nd)
+	if !nv.msDone {
+		nv.ms, nv.msErr = routing.SuccessMatrices(nv.nd)
+		nv.msDone = true
+	}
+	return nv.ms, nv.msErr
+}
+
+// Paths returns the network's shortest-path solution at one rate and ETX
+// variant; every (rate, variant) pair is solved on the first request.
+func (nv *NetView) Paths(rate int, v routing.Variant) (*routing.Paths, error) {
+	if err := nv.solve(false); err != nil {
+		return nil, err
+	}
+	return nv.paths[int(v)*len(nv.ms)+rate], nil
 }
 
 // Improvements returns the network's opportunistic-routing comparison at
 // one rate and ETX variant; all (rate, variant) pairs are computed on the
 // first request.
 func (nv *NetView) Improvements(rate int, v routing.Variant) ([]routing.PairResult, error) {
-	return nv.d.netImprovements(nv.nd, rate, v)
+	if err := nv.solve(true); err != nil {
+		return nil, err
+	}
+	return nv.imps[int(v)*len(nv.ms)+rate], nil
+}
+
+// solve solves the network's routing once per (rate, variant) and, with
+// imps, sweeps each solution's opportunistic comparison. The pairs are
+// independent, so they fan out over the worker budget: the giant network
+// that dominates a fleet's routing would otherwise hold one core for its
+// whole solve.
+func (nv *NetView) solve(imps bool) error {
+	ms, err := nv.Matrices()
+	if err != nil {
+		return err
+	}
+	solved := nv.paths != nil
+	if solved && (!imps || nv.imps != nil) {
+		return nil
+	}
+	nr := len(ms)
+	if !solved {
+		nv.paths = make([]*routing.Paths, 2*nr)
+	}
+	if imps {
+		nv.imps = make([][]routing.PairResult, 2*nr)
+	}
+	return conc.ForEach(2*nr, func(k int) error {
+		m := ms[k%nr]
+		if !solved {
+			nv.paths[k] = routing.AllPairs(m, routing.Variant(k/nr))
+		}
+		if imps {
+			nv.imps[k] = routing.ImprovementsFrom(m, nv.paths[k])
+		}
+		return nil
+	})
 }
 
 // Hidden returns the network's §6 triple census at a hearing threshold.
 func (nv *NetView) Hidden(threshold float64) (*hidden.NetworkResult, error) {
-	return nv.d.netHidden(nv.nd, threshold)
-}
-
-// streamDerived caches one live network's derived data. It is used from
-// one goroutine at a time (a pipeline worker during prepare, then the
-// collector during the ordered observe), so it needs no locking.
-type streamDerived struct {
-	ms     map[int]routing.Matrix
-	msErr  error
-	msDone bool
-
-	imps     map[impKey][]routing.PairResult
-	impsErr  error
-	impsDone bool
-
-	hiddens map[float64]*hidden.NetworkResult
-}
-
-func (d *streamDerived) netMatrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error) {
-	if !d.msDone {
-		d.ms, d.msErr = routing.SuccessMatrices(nd)
-		d.msDone = true
-	}
-	return d.ms, d.msErr
-}
-
-func (d *streamDerived) netImprovements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error) {
-	if !d.impsDone {
-		d.impsDone = true
-		ms, err := d.netMatrices(nd)
-		if err != nil {
-			d.impsErr = err
-		} else {
-			// All (rate, variant) pairs in one pass: the §5 figures sweep
-			// every pair anyway.
-			d.imps = make(map[impKey][]routing.PairResult, 2*len(ms))
-			for _, variant := range []routing.Variant{routing.ETX1, routing.ETX2} {
-				for ri, m := range ms {
-					d.imps[impKey{rate: ri, variant: variant}] = routing.Improvements(m, variant)
-				}
-			}
-		}
-	}
-	if d.impsErr != nil {
-		return nil, d.impsErr
-	}
-	return d.imps[impKey{rate: rate, variant: v}], nil
-}
-
-func (d *streamDerived) netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error) {
-	if nr, ok := d.hiddens[threshold]; ok {
+	if nr, ok := nv.hiddens[threshold]; ok {
 		return nr, nil
 	}
-	ms, err := d.netMatrices(nd)
+	ms, err := nv.Matrices()
 	if err != nil {
 		return nil, err
 	}
-	nr, err := hidden.Census(nd, ms, threshold)
+	nr, err := hidden.Census(nv.nd, ms, threshold)
 	if err != nil {
 		return nil, err
 	}
-	if d.hiddens == nil {
-		d.hiddens = make(map[float64]*hidden.NetworkResult, 4)
+	if nv.hiddens == nil {
+		nv.hiddens = make(map[float64]*hidden.NetworkResult, 4)
 	}
-	d.hiddens[threshold] = nr
+	nv.hiddens[threshold] = nr
 	return nr, nil
 }
 
-// streamJob is one network moving through the pipeline: a worker fills
-// the view's derived cache (prepare), then the collector applies the
-// ordered observes and drops the job — releasing the network.
+// streamJob is one network moving through the pipeline: a worker
+// measures it into one partial per network-reading experiment, then the
+// collector merges the partials in fleet order and drops the job. nd
+// stays set only while the collector still has to flatten the network's
+// §4 samples; otherwise the worker releases it with its measurement.
 type streamJob struct {
-	nv   *NetView
-	err  error
-	done chan struct{}
+	nd       *dataset.NetworkData
+	partials []accumulator
+	err      error
+	done     chan struct{}
 }
 
 // StreamContext runs a selection of experiments over a single streaming
 // walk of a fleet. The driver calls Observe once per network in fleet
 // order (from one goroutine), SetClients and, on a DeferSamples run, the
 // sample groups for the trailing sections, then Finalize for the results.
-// Per-network heavy work — routing solutions, improvement sweeps, triple
-// censuses — fans across a bounded worker pool while accumulator state
-// is updated strictly in fleet order, so the emitted results are
+// Each network is measured on a pipeline worker into fresh one-network
+// partials, and the collector folds those into the run's accumulators
+// with merge, strictly in fleet order, so the emitted results are
 // byte-identical at any pool size.
 type StreamContext struct {
 	workers int
 	ids     []string
 	accs    []accumulator
-	// preparers are the selected accumulators with per-network work to
-	// do off the ordered path; a selection without any skips it.
-	preparers []preparer
+	// measured are the selection slots whose accumulators read networks;
+	// a selection without any measures nothing.
+	measured []int
 
 	start         sync.Once
 	jobs          chan *streamJob
@@ -212,8 +228,8 @@ func NewStreamContext(workers int, ids ...string) *StreamContext {
 			return s
 		}
 		acc := registry[i].newAcc()
-		if p, ok := acc.(preparer); ok {
-			s.preparers = append(s.preparers, p)
+		if _, ok := acc.(netObserver); ok {
+			s.measured = append(s.measured, len(s.accs))
 		}
 		if so, ok := acc.(sampleObserver); ok {
 			s.sampleObs = append(s.sampleObs, sampleObsAt{idx: len(s.accs), so: so})
@@ -281,8 +297,8 @@ func (s *StreamContext) loadErr() error {
 // Observe feeds the next network (in fleet order) into the pipeline. It
 // blocks while the bounded window of in-flight networks is full, and
 // returns the first pipeline error so the driver can abort its walk. The
-// network must not be mutated after the call; it is released once every
-// accumulator has observed it.
+// network must not be mutated after the call; the pipeline releases it
+// once it is measured (and, on a walk that flattens §4 samples, fed).
 func (s *StreamContext) Observe(nd *dataset.NetworkData) error {
 	if s.drained || s.finalized {
 		return fmt.Errorf("experiments: Observe after Drain/Finalize")
@@ -298,32 +314,36 @@ func (s *StreamContext) Observe(nd *dataset.NetworkData) error {
 		s.maxInFlight = s.inFlight
 	}
 	s.mu.Unlock()
-	j := &streamJob{
-		nv:   &NetView{nd: nd, d: &streamDerived{}},
-		done: make(chan struct{}),
-	}
-	s.jobs <- j // FIFO: the collector applies jobs in send order
+	j := &streamJob{nd: nd, done: make(chan struct{})}
+	s.jobs <- j // FIFO: the collector folds jobs in send order
 	go func() {
-		j.err = s.prepare(j.nv)
+		j.partials, j.err = s.measure(nd)
+		if s.deferSamples || len(s.sampleObs) == 0 {
+			j.nd = nil // nothing to flatten: release the network now
+		}
 		close(j.done)
 	}()
 	return nil
 }
 
-// prepare runs on a pipeline worker: every selected accumulator that
-// declares expensive per-network work fills the view's derived cache
-// here, off the ordered path.
-func (s *StreamContext) prepare(nv *NetView) error {
-	for _, p := range s.preparers {
-		if err := p.prepare(nv); err != nil {
-			return err
+// measure runs on a pipeline worker: every selected experiment that reads
+// networks observes nd into a fresh accumulator, its one-network partial.
+// The experiments share one NetView, so derived data is computed once.
+func (s *StreamContext) measure(nd *dataset.NetworkData) ([]accumulator, error) {
+	nv := &NetView{nd: nd}
+	partials := make([]accumulator, len(s.measured))
+	for k, i := range s.measured {
+		p := registry[byID[s.ids[i]]].newAcc()
+		if err := p.(netObserver).observe(nv); err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", s.ids[i], err)
 		}
+		partials[k] = p
 	}
-	return nil
+	return partials, nil
 }
 
-// collect drains the pipeline in fleet order, applying each network to
-// every accumulator and the incremental flatteners, then releasing it.
+// collect drains the pipeline in fleet order, folding each network into
+// the accumulators, then releasing it.
 func (s *StreamContext) collect() {
 	for j := range s.jobs {
 		<-j.done
@@ -332,7 +352,7 @@ func (s *StreamContext) collect() {
 			if j.err != nil {
 				s.err = j.err
 			} else {
-				s.err = s.applyOrdered(j.nv)
+				s.err = s.fold(j)
 			}
 		}
 		s.inFlight--
@@ -344,24 +364,23 @@ func (s *StreamContext) collect() {
 	close(s.collectorDone)
 }
 
-// applyOrdered runs the serial, order-sensitive part of one network:
-// flatten-and-feed of its §4 sample group, then every accumulator's
-// observe. The flattened samples are released with the network — the
-// chunked accumulators retain only their tables — so a section-less
-// stream is sample-bounded too.
-func (s *StreamContext) applyOrdered(nv *NetView) error {
-	if !s.deferSamples && len(s.sampleObs) > 0 {
-		nd := nv.Data()
-		group, err := snr.Flatten([]*dataset.NetworkData{nd})
+// fold applies one measured network in fleet order: flatten-and-feed of
+// its §4 sample group on a section-less walk, then a merge of every
+// partial into the run's accumulator. The flattened samples are released
+// with the network — the chunked accumulators retain only their tables —
+// so a section-less stream is sample-bounded too.
+func (s *StreamContext) fold(j *streamJob) error {
+	if j.nd != nil {
+		group, err := snr.Flatten([]*dataset.NetworkData{j.nd})
 		if err != nil {
 			return err
 		}
-		if err := s.feedSampleGroup(nd.Info.Band, group); err != nil {
+		if err := s.feedSampleGroup(j.nd.Info.Band, group); err != nil {
 			return err
 		}
 	}
-	for i, acc := range s.accs {
-		if err := acc.observe(nv); err != nil {
+	for k, i := range s.measured {
+		if err := s.accs[i].merge(j.partials[k]); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
 		}
 	}

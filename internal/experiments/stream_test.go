@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
+	"meshlab/internal/phy"
+	"meshlab/internal/routing"
 )
 
 // streamRun pushes a materialized fleet through a StreamContext the way a
@@ -163,5 +166,55 @@ func TestSampleIDs(t *testing.T) {
 		if got[i].Format() != full[id] {
 			t.Fatalf("%s diverges between the sample run and the full suite", id)
 		}
+	}
+}
+
+// TestNetRoutingBudgetInvariant: a routable network's derived routing —
+// every (rate, variant) solution and opportunistic sweep, solved in one
+// fan-out — is identical whether the fan-out runs serially or four ways,
+// and whether the solutions were first asked for alone (ext5.ett) or
+// with their sweeps (§5).
+func TestNetRoutingBudgetInvariant(t *testing.T) {
+	defer conc.SetBudget(0)
+	derive := func(nd *dataset.NetworkData, pathsFirst bool) ([]*routing.Paths, [][]routing.PairResult) {
+		nv := &NetView{nd: nd}
+		if pathsFirst {
+			if _, err := nv.Paths(0, routing.ETX1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var paths []*routing.Paths
+		var imps [][]routing.PairResult
+		for _, v := range []routing.Variant{routing.ETX1, routing.ETX2} {
+			for ri := range phy.BandBG.Rates {
+				prs, err := nv.Improvements(ri, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := nv.Paths(ri, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				paths, imps = append(paths, p), append(imps, prs)
+			}
+		}
+		return paths, imps
+	}
+	checked := 0
+	for _, nd := range quickFleet(t).Networks {
+		if !routable(nd) {
+			continue
+		}
+		conc.SetBudget(1)
+		serialPaths, serialImps := derive(nd, true)
+		conc.SetBudget(4)
+		parPaths, parImps := derive(nd, false)
+		if !reflect.DeepEqual(serialPaths, parPaths) || !reflect.DeepEqual(serialImps, parImps) {
+			t.Fatalf("%s: routing differs between budgets 1 and 4", nd.Info.Name)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no routable network in the quick fleet")
 	}
 }

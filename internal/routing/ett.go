@@ -122,8 +122,20 @@ type ETTResult struct {
 
 // CompareETT evaluates fixed-rate ETX routing at every rate and multi-rate
 // ETT routing on the same per-rate matrices, comparing mean expected path
-// airtime over pairs reachable under ETT.
+// airtime over pairs reachable under ETT: CompareETTFrom over fresh ETX1
+// solutions.
 func CompareETT(ms map[int]Matrix, band phy.Band, pktBits, overhead float64) ETTResult {
+	etx := make(map[int]*Paths, len(band.Rates))
+	for ri := range band.Rates {
+		etx[ri] = AllPairs(ms[ri], ETX1)
+	}
+	return CompareETTFrom(ms, etx, band, pktBits, overhead)
+}
+
+// CompareETTFrom is CompareETT over precomputed fixed-rate solutions,
+// etx[ri] = AllPairs(ms[ri], ETX1), for callers that already solved each
+// rate's routing.
+func CompareETTFrom(ms map[int]Matrix, etx map[int]*Paths, band phy.Band, pktBits, overhead float64) ETTResult {
 	if pktBits <= 0 {
 		pktBits = DefaultPacketBits
 	}
@@ -160,22 +172,20 @@ func CompareETT(ms map[int]Matrix, band phy.Band, pktBits, overhead float64) ETT
 	res.MeanFixedSeconds = math.Inf(1)
 	for ri, rate := range band.Rates {
 		airtime := overhead + pktBits/(rate.Mbps*1e6)
-		etx := AllPairs(ms[ri], ETX1)
+		fixed := etx[ri]
 		var sum float64
-		covered := 0
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s == d || math.IsInf(ett.Dist[s][d], 1) {
 					continue
 				}
-				if math.IsInf(etx.Dist[s][d], 1) {
+				if math.IsInf(fixed.Dist[s][d], 1) {
 					// Unreachable at this fixed rate: charge the
 					// base-rate fallback so rates are comparable.
 					sum += ett.Dist[s][d] * 10
 					continue
 				}
-				sum += etx.Dist[s][d] * airtime
-				covered++
+				sum += fixed.Dist[s][d] * airtime
 			}
 		}
 		mean := sum / float64(res.Pairs)
@@ -183,7 +193,6 @@ func CompareETT(ms map[int]Matrix, band phy.Band, pktBits, overhead float64) ETT
 			res.MeanFixedSeconds = mean
 			res.BestFixedRate = ri
 		}
-		_ = covered
 	}
 	if res.MeanETTSeconds > 0 {
 		res.Gain = res.MeanFixedSeconds/res.MeanETTSeconds - 1

@@ -129,6 +129,29 @@ func TestCompareETTGainNonNegative(t *testing.T) {
 	}
 }
 
+// TestCompareETTFromMatchesCompareETT: fed cached ETX1 solutions, the
+// comparison is bit-identical to one that solves every rate itself —
+// including networks where some pairs are unreachable at every rate.
+func TestCompareETTFromMatchesCompareETT(t *testing.T) {
+	bits := math.Float64bits
+	for seed := uint64(0); seed < 10; seed++ {
+		ms := make(map[int]Matrix)
+		etx := make(map[int]*Paths)
+		for ri := range phy.BandBG.Rates {
+			ms[ri] = randomMatrix(seed*31+uint64(ri), 12, 0.2)
+			etx[ri] = AllPairs(ms[ri], ETX1)
+		}
+		want := CompareETT(ms, phy.BandBG, 0, 0)
+		got := CompareETTFrom(ms, etx, phy.BandBG, 0, 0)
+		if got.BestFixedRate != want.BestFixedRate || got.Pairs != want.Pairs ||
+			bits(got.MeanFixedSeconds) != bits(want.MeanFixedSeconds) ||
+			bits(got.MeanETTSeconds) != bits(want.MeanETTSeconds) ||
+			bits(got.Gain) != bits(want.Gain) {
+			t.Fatalf("seed %d: cached %+v vs from scratch %+v", seed, got, want)
+		}
+	}
+}
+
 func TestCompareETTMixedRateWins(t *testing.T) {
 	// The two-rate line forces ETT to mix rates; any fixed rate is
 	// strictly worse (1M wastes the strong link, 48M cannot reach C).

@@ -429,11 +429,17 @@ type PairResult struct {
 }
 
 // Improvements compares opportunistic routing against the ETX variant for
-// every ordered reachable pair of the matrix. The ETX solution is computed
-// once and the per-destination ExOR recursions share one scratch buffer.
+// every ordered reachable pair of the matrix: ImprovementsFrom over a
+// fresh AllPairs solution.
 func Improvements(m Matrix, v Variant) []PairResult {
+	return ImprovementsFrom(m, AllPairs(m, v))
+}
+
+// ImprovementsFrom is Improvements over a precomputed ETX solution, etx =
+// AllPairs(m, etx.Variant), for callers that share one solution between
+// analyses. The per-destination ExOR recursions share one scratch buffer.
+func ImprovementsFrom(m Matrix, etx *Paths) []PairResult {
 	n := m.Size()
-	etx := AllPairs(m, v)
 	exor := make([]float64, n)
 	order := make([]int, 0, n)
 	var out []PairResult

@@ -326,6 +326,85 @@ func BenchmarkImprovements30(b *testing.B) {
 	}
 }
 
+// denseMatrix is the giant reference network's shape: n APs, every pair
+// in range.
+func denseMatrix(seed uint64, n int) Matrix {
+	r := rng.New(seed)
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				m.Set(i, j, 0.05+0.9*r.Float64())
+			}
+		}
+	}
+	return m
+}
+
+func BenchmarkAllPairs203Dense(b *testing.B) {
+	m := denseMatrix(1, 203)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = AllPairs(m, ETX1)
+	}
+}
+
+func BenchmarkImprovements203Dense(b *testing.B) {
+	m := denseMatrix(1, 203)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Improvements(m, ETX1)
+	}
+}
+
+// samePairs reports whether two comparisons agree bit for bit.
+func samePairs(a, b []PairResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.S != y.S || x.D != y.D || x.Hops != y.Hops ||
+			bits(x.ETX) != bits(y.ETX) || bits(x.ExOR) != bits(y.ExOR) ||
+			bits(x.Improvement) != bits(y.Improvement) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestImprovementsFromMatchesImprovements: one shared solution, reused
+// across calls, answers exactly what a from-scratch solve does — the
+// contract that lets a caller solve each (rate, variant) once. The
+// random matrices leave ~30% of pairs out of range, and every other seed
+// isolates one AP, so unreachable pairs are covered.
+func TestImprovementsFromMatchesImprovements(t *testing.T) {
+	for seed := uint64(0); seed < 12; seed++ {
+		for _, n := range []int{2, 7, 25} {
+			m := randomMatrix(seed, n, 0.15)
+			if seed%2 == 0 {
+				// Cut the last AP off entirely: unreachable both ways.
+				for i := 0; i < n; i++ {
+					m.Set(i, n-1, 0)
+					m.Set(n-1, i, 0)
+				}
+			}
+			for _, v := range []Variant{ETX1, ETX2} {
+				want := Improvements(m, v)
+				etx := AllPairs(m, v)
+				for pass := 0; pass < 2; pass++ {
+					if got := ImprovementsFrom(m, etx); !samePairs(got, want) {
+						t.Fatalf("seed %d n=%d %v pass %d: ImprovementsFrom diverged from Improvements", seed, n, v, pass)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatrixFlatAPI(t *testing.T) {
 	m := NewMatrix(3)
 	m.Set(1, 2, 0.5)

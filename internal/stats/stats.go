@@ -149,6 +149,13 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
+// NewCDFInPlace is NewCDF without the copy: it sorts xs in place and the
+// CDF aliases it, for a caller that has no further use for xs's order.
+func NewCDFInPlace(xs []float64) *CDF {
+	sort.Float64s(xs)
+	return &CDF{sorted: xs}
+}
+
 // N returns the sample size.
 func (c *CDF) N() int { return len(c.sorted) }
 

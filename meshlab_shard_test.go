@@ -61,7 +61,9 @@ func TestShardedStreamMatchesStreamFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 3, 5} {
+		// One shard per network folds single-network partials with Merge,
+		// the fold the streaming collector applies per network.
+		for _, shards := range []int{1, 3, 5, len(fleet.Networks)} {
 			for _, workers := range []int{1, 4} {
 				res, err := ShardedStream(context.Background(), path, ShardOptions{
 					Shards: shards, Workers: workers, MaxRetries: 0,
