@@ -19,12 +19,22 @@
 // additionally appends the pre-flattened §4 sample section to a .bin
 // output so analysis warm starts skip re-flattening (dataset caches get
 // it automatically). Synthesis fans out across -workers cores (0 = all);
-// the dataset is byte-identical at any worker count. With -dataset, the
-// synthesized fleet is cached at the given path in the binary format and
-// later runs with a matching seed/config load it instead of
-// re-synthesizing. A cache file that claims the binary format but whose
-// header cannot be decoded is corrupt input — reported with exit 3
-// rather than silently clobbered by a fresh synthesis.
+// the dataset is byte-identical at any worker count.
+//
+// Without -dataset, meshgen never holds the fleet: each network is
+// validated and encoded as it leaves the synthesis pipeline, in fleet
+// order, and the sample section spools beside the output until the last
+// network is written. Peak memory is the in-flight window — at most one
+// network per worker — not the fleet. Every output is written atomically
+// (temp file, fsync, rename; a device such as /dev/null is written in
+// place), so a failed run leaves any previous file at -out intact.
+//
+// With -dataset, the synthesized fleet is cached at the given path in the
+// binary format and later runs with a matching seed/config load it
+// instead of re-synthesizing; this path holds the fleet in memory. A
+// cache file that claims the binary format but whose header cannot be
+// decoded is corrupt input — reported with exit 3 rather than silently
+// clobbered by a fresh synthesis.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 corrupt
 // input, 4 transient-retry budget exhausted, 130 interrupted — the same
@@ -182,9 +192,11 @@ func run(args []string, stdout io.Writer) error {
 	opts.SkipClients = opts.SkipClients || *noClients
 	opts.Workers = *workers
 
+	// The timing line covers synthesis or the cache load. Streamed
+	// synthesis writes as it goes, so there it covers the write too.
 	start := time.Now()
-	var fleet *meshlab.Fleet
-	var err error
+	var dur time.Duration
+	var sum meshlab.DatasetSummary
 	cached := false
 	if *cache != "" {
 		if !opts.CacheValidatable() {
@@ -197,45 +209,40 @@ func run(args []string, stdout io.Writer) error {
 			// loader would silently treat it as a miss and overwrite it.
 			return err
 		}
-		fleet, cached, err = meshlab.LoadOrGenerateFleet(*cache, opts)
+		fleet, hit, err := meshlab.LoadOrGenerateFleet(*cache, opts)
+		if err != nil {
+			return err
+		}
+		cached, dur = hit, time.Since(start)
+		if err := fleet.Validate(); err != nil {
+			return fmt.Errorf("generated fleet failed validation: %w", err)
+		}
+		save := meshlab.SaveFleet
+		if *flatSamp {
+			save = meshlab.SaveFleetWithSamples
+		}
+		if err := save(*out, fleet); err != nil {
+			return err
+		}
+		sum = meshlab.SummarizeFleet(fleet)
 	} else {
-		fleet, err = meshlab.GenerateFleet(opts)
-	}
-	if err != nil {
-		return err
-	}
-	genDur := time.Since(start)
-
-	if err := fleet.Validate(); err != nil {
-		return fmt.Errorf("generated fleet failed validation: %w", err)
-	}
-	save := meshlab.SaveFleet
-	if *flatSamp {
-		save = meshlab.SaveFleetWithSamples
-	}
-	if err := save(*out, fleet); err != nil {
-		return err
+		var err error
+		if sum, err = meshlab.GenerateDataset(*out, opts, *flatSamp); err != nil {
+			return err
+		}
+		dur = time.Since(start)
 	}
 
-	links := 0
-	for _, n := range fleet.Networks {
-		links += len(n.Links)
-	}
-	clients := 0
-	for _, c := range fleet.Clients {
-		clients += len(c.Clients)
-	}
 	fmt.Fprintf(stdout, "wrote %s\n", *out)
-	fmt.Fprintf(stdout, "  seed             %d\n", fleet.Meta.Seed)
-	fmt.Fprintf(stdout, "  network datasets %d (bg: %d, n: %d)\n",
-		len(fleet.Networks), len(fleet.ByBand("bg")), len(fleet.ByBand("n")))
-	fmt.Fprintf(stdout, "  directed links   %d\n", links)
-	fmt.Fprintf(stdout, "  probe sets       %d\n", fleet.NumProbeSets())
-	fmt.Fprintf(stdout, "  clients          %d\n", clients)
+	fmt.Fprintf(stdout, "  seed             %d\n", sum.Meta.Seed)
+	fmt.Fprintf(stdout, "  network datasets %d (bg: %d, n: %d)\n", sum.Datasets, sum.BG, sum.N)
+	fmt.Fprintf(stdout, "  directed links   %d\n", sum.Links)
+	fmt.Fprintf(stdout, "  probe sets       %d\n", sum.ProbeSets)
+	fmt.Fprintf(stdout, "  clients          %d\n", sum.Clients)
 	if cached {
-		fmt.Fprintf(stdout, "  loaded from cache %s in %v\n", *cache, genDur.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  loaded from cache %s in %v\n", *cache, dur.Round(time.Millisecond))
 	} else {
-		fmt.Fprintf(stdout, "  generated in     %v\n", genDur.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  generated in     %v\n", dur.Round(time.Millisecond))
 	}
 	return nil
 }

@@ -10,7 +10,12 @@ import (
 	"testing"
 
 	"meshlab"
+	"meshlab/internal/leakcheck"
 )
+
+// TestMain fails the package if a test leaves a synthesis goroutine
+// running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestRunQuickJSONL(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "fleet.jsonl")

@@ -198,30 +198,82 @@ type record struct {
 	Clients *ClientData  `json:"clients,omitempty"`
 }
 
-// Write serializes the fleet as JSON lines.
+// Write serializes the fleet as JSON lines, through an Encoder.
 func Write(w io.Writer, f *Fleet) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(record{Kind: "meta", Meta: &f.Meta}); err != nil {
-		return fmt.Errorf("dataset: write meta: %w", err)
-	}
+	enc := NewEncoder(w, f.Meta)
 	for _, n := range f.Networks {
-		info := n.Info
-		if err := enc.Encode(record{Kind: "network", Info: &info}); err != nil {
-			return fmt.Errorf("dataset: write network %s: %w", n.Info.Name, err)
-		}
-		for _, l := range n.Links {
-			if err := enc.Encode(record{Kind: "link", Net: n.Info.Name, Band: n.Info.Band, Link: l}); err != nil {
-				return fmt.Errorf("dataset: write link %s %d->%d: %w", n.Info.Name, l.From, l.To, err)
-			}
+		if err := enc.Network(n); err != nil {
+			return err
 		}
 	}
 	for _, c := range f.Clients {
-		if err := enc.Encode(record{Kind: "clients", Clients: c}); err != nil {
-			return fmt.Errorf("dataset: write clients %s: %w", c.Network, err)
+		if err := enc.Clients(c); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return enc.Close()
+}
+
+// Encoder writes the JSON-lines format one network at a time: the meta
+// record, each network's record and link records as it arrives, and on
+// Close the client records, which the format places after every
+// network. It holds the client logs until then, never the probe data.
+type Encoder struct {
+	bw      *bufio.Writer
+	enc     *json.Encoder
+	clients []*ClientData
+	err     error
+}
+
+// NewEncoder starts a JSON-lines dataset on w with its meta record.
+func NewEncoder(w io.Writer, meta Meta) *Encoder {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	e := &Encoder{bw: bw, enc: json.NewEncoder(bw)}
+	if err := e.enc.Encode(record{Kind: "meta", Meta: &meta}); err != nil {
+		e.err = fmt.Errorf("dataset: write meta: %w", err)
+	}
+	return e
+}
+
+// Network writes one network's record and its link records.
+func (e *Encoder) Network(n *NetworkData) error {
+	if e.err != nil {
+		return e.err
+	}
+	info := n.Info
+	if err := e.enc.Encode(record{Kind: "network", Info: &info}); err != nil {
+		e.err = fmt.Errorf("dataset: write network %s: %w", n.Info.Name, err)
+		return e.err
+	}
+	for _, l := range n.Links {
+		if err := e.enc.Encode(record{Kind: "link", Net: n.Info.Name, Band: n.Info.Band, Link: l}); err != nil {
+			e.err = fmt.Errorf("dataset: write link %s %d->%d: %w", n.Info.Name, l.From, l.To, err)
+			return e.err
+		}
+	}
+	return nil
+}
+
+// Clients queues one network's client log for Close.
+func (e *Encoder) Clients(c *ClientData) error {
+	e.clients = append(e.clients, c)
+	return e.err
+}
+
+// Close writes the queued client records and flushes.
+func (e *Encoder) Close() error {
+	if e.err != nil {
+		return e.err
+	}
+	for _, c := range e.clients {
+		if err := e.enc.Encode(record{Kind: "clients", Clients: c}); err != nil {
+			e.err = fmt.Errorf("dataset: write clients %s: %w", c.Network, err)
+			return e.err
+		}
+	}
+	e.clients = nil
+	e.err = e.bw.Flush()
+	return e.err
 }
 
 // Read parses a fleet from the JSON-lines format produced by Write.
@@ -285,49 +337,68 @@ func Read(r io.Reader) (*Fleet, error) {
 
 // Validate checks structural invariants: known bands, in-range AP and rate
 // indices, ordered probe sets, loss rates in [0,1], and ordered,
-// non-overlapping association intervals.
+// non-overlapping association intervals. It reports the first violation
+// of the networks in order, then of the client logs.
 func (f *Fleet) Validate() error {
 	for _, n := range f.Networks {
-		band, err := n.Band()
-		if err != nil {
-			return fmt.Errorf("network %s: %w", n.Info.Name, err)
+		if err := n.Validate(); err != nil {
+			return err
 		}
-		for _, l := range n.Links {
-			if l.From < 0 || l.From >= n.NumAPs() || l.To < 0 || l.To >= n.NumAPs() || l.From == l.To {
-				return fmt.Errorf("network %s: bad link %d->%d", n.Info.Name, l.From, l.To)
+	}
+	for _, c := range f.Clients {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate checks one network's probe data: a known band, in-range AP and
+// rate indices, strictly ordered probe sets and loss rates in [0,1].
+func (n *NetworkData) Validate() error {
+	band, err := n.Band()
+	if err != nil {
+		return fmt.Errorf("network %s: %w", n.Info.Name, err)
+	}
+	for _, l := range n.Links {
+		if l.From < 0 || l.From >= n.NumAPs() || l.To < 0 || l.To >= n.NumAPs() || l.From == l.To {
+			return fmt.Errorf("network %s: bad link %d->%d", n.Info.Name, l.From, l.To)
+		}
+		prevT := int32(-1)
+		for _, ps := range l.Sets {
+			if ps.T <= prevT {
+				return fmt.Errorf("network %s link %d->%d: probe sets not strictly ordered", n.Info.Name, l.From, l.To)
 			}
-			prevT := int32(-1)
-			for _, ps := range l.Sets {
-				if ps.T <= prevT {
-					return fmt.Errorf("network %s link %d->%d: probe sets not strictly ordered", n.Info.Name, l.From, l.To)
+			prevT = ps.T
+			for _, o := range ps.Obs {
+				if int(o.RateIdx) >= len(band.Rates) {
+					return fmt.Errorf("network %s: rate index %d out of range", n.Info.Name, o.RateIdx)
 				}
-				prevT = ps.T
-				for _, o := range ps.Obs {
-					if int(o.RateIdx) >= len(band.Rates) {
-						return fmt.Errorf("network %s: rate index %d out of range", n.Info.Name, o.RateIdx)
-					}
-					if o.Loss < 0 || o.Loss > 1 {
-						return fmt.Errorf("network %s: loss %v out of range", n.Info.Name, o.Loss)
-					}
+				if o.Loss < 0 || o.Loss > 1 {
+					return fmt.Errorf("network %s: loss %v out of range", n.Info.Name, o.Loss)
 				}
 			}
 		}
 	}
-	for _, c := range f.Clients {
-		for _, cl := range c.Clients {
-			prevEnd := int32(0)
-			for _, a := range cl.Assocs {
-				if a.Start < prevEnd || a.End <= a.Start {
-					return fmt.Errorf("clients %s #%d: bad association [%d,%d)", c.Network, cl.ID, a.Start, a.End)
-				}
-				if a.End > c.Duration {
-					return fmt.Errorf("clients %s #%d: association past snapshot end", c.Network, cl.ID)
-				}
-				if int(a.AP) < 0 || int(a.AP) >= c.NumAPs {
-					return fmt.Errorf("clients %s #%d: AP %d out of range", c.Network, cl.ID, a.AP)
-				}
-				prevEnd = a.End
+	return nil
+}
+
+// Validate checks one network's client log: ordered, non-overlapping
+// associations inside the snapshot, on in-range APs.
+func (c *ClientData) Validate() error {
+	for _, cl := range c.Clients {
+		prevEnd := int32(0)
+		for _, a := range cl.Assocs {
+			if a.Start < prevEnd || a.End <= a.Start {
+				return fmt.Errorf("clients %s #%d: bad association [%d,%d)", c.Network, cl.ID, a.Start, a.End)
 			}
+			if a.End > c.Duration {
+				return fmt.Errorf("clients %s #%d: association past snapshot end", c.Network, cl.ID)
+			}
+			if int(a.AP) < 0 || int(a.AP) >= c.NumAPs {
+				return fmt.Errorf("clients %s #%d: AP %d out of range", c.Network, cl.ID, a.AP)
+			}
+			prevEnd = a.End
 		}
 	}
 	return nil

@@ -75,12 +75,8 @@ func (h *Harness) Synthesize(sp *scenario.Spec) (string, error) {
 	}
 	opts := sp.Options()
 	opts.Workers = h.Workers
-	f, err := meshlab.GenerateFleet(opts)
-	if err != nil {
+	if _, err := meshlab.GenerateDataset(path, opts, true); err != nil {
 		return "", fmt.Errorf("e2e %s: synthesize: %w", sp.Name, err)
-	}
-	if err := meshlab.SaveFleetWithSamples(path, f); err != nil {
-		return "", fmt.Errorf("e2e %s: save: %w", sp.Name, err)
 	}
 	return path, nil
 }

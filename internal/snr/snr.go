@@ -74,34 +74,47 @@ func Flatten(nets []*dataset.NetworkData) ([]Sample, error) {
 func flattenNetwork(out []Sample, flat []float64, off int, nd *dataset.NetworkData, band phy.Band) ([]Sample, int) {
 	nr := len(band.Rates)
 	for _, l := range nd.Links {
-		for _, ps := range l.Sets {
-			s := Sample{
-				Net: nd.Info.Name, From: l.From, To: l.To,
-				T: ps.T, SNR: int(ps.SNR),
-				Tput: flat[off : off+nr : off+nr],
-				Popt: -1,
-			}
-			for _, o := range ps.Obs {
-				tp := band.Rates[o.RateIdx].Throughput(float64(o.Loss))
-				s.Tput[o.RateIdx] = tp
-				if tp > s.BestTput {
-					s.BestTput = tp
-					s.Popt = int(o.RateIdx)
-				}
-			}
-			if s.Popt < 0 || s.BestTput <= 0 {
-				// Discard: re-zero the written cells so the chunk can
-				// back the next probe set.
-				for _, o := range ps.Obs {
-					s.Tput[o.RateIdx] = 0
-				}
+		for i := range l.Sets {
+			ps := &l.Sets[i]
+			row := flat[off : off+nr : off+nr]
+			popt, best, ok := FlattenSet(row, ps, band)
+			if !ok {
 				continue
 			}
 			off += nr
-			out = append(out, s)
+			out = append(out, Sample{
+				Net: nd.Info.Name, From: l.From, To: l.To,
+				T: ps.T, SNR: int(ps.SNR),
+				Tput: row, Popt: popt, BestTput: best,
+			})
 		}
 	}
 	return out, off
+}
+
+// FlattenSet is the per-probe-set kernel behind every flattened sample:
+// it writes the set's throughput per band rate index into row (len
+// ≥ the band's rate count, all zero on entry) and returns the optimal
+// rate index and its throughput. A set where no rate delivered anything
+// is discarded: ok is false and row is zero again, so the caller can
+// reuse it for the next set. Rate indices must be in range for band.
+func FlattenSet(row []float64, ps *dataset.ProbeSet, band phy.Band) (popt int, best float64, ok bool) {
+	popt = -1
+	for _, o := range ps.Obs {
+		tp := band.Rates[o.RateIdx].Throughput(float64(o.Loss))
+		row[o.RateIdx] = tp
+		if tp > best {
+			best = tp
+			popt = int(o.RateIdx)
+		}
+	}
+	if popt < 0 || best <= 0 {
+		for _, o := range ps.Obs {
+			row[o.RateIdx] = 0
+		}
+		return -1, 0, false
+	}
+	return popt, best, true
 }
 
 // Flattener is the incremental form of Flatten: networks are added one at

@@ -8,6 +8,8 @@ package synth
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"meshlab/internal/clients"
 	"meshlab/internal/conc"
@@ -39,8 +41,9 @@ type Options struct {
 	SkipClients bool
 	// Workers bounds the synthesis worker pool: networks fan out across
 	// it because every network draws from its own seed-derived rng split.
-	// 0 means GOMAXPROCS, 1 forces the serial path. The output is
-	// byte-identical at any value.
+	// It also bounds how many networks Generator.Run holds at once. 0
+	// means the process worker budget (conc.Budget), 1 synthesizes one
+	// network at a time. The output is byte-identical at any value.
 	Workers int
 }
 
@@ -160,13 +163,12 @@ type expectedNet struct {
 
 // NewTopologyMatcher derives the layout-only fleet topology for opts.
 func NewTopologyMatcher(opts Options) (*TopologyMatcher, error) {
-	root := rng.New(opts.Seed)
-	fleetTopo, err := topology.GenerateFleet(root.Split("topology"), opts.Fleet)
+	g, err := NewGenerator(opts)
 	if err != nil {
-		return nil, fmt.Errorf("synth: fleet topology: %w", err)
+		return nil, err
 	}
 	m := &TopologyMatcher{}
-	for _, topo := range fleetTopo.Networks {
+	for _, topo := range g.topo {
 		for _, bandName := range topo.Bands {
 			m.expect = append(m.expect, expectedNet{topo: topo, band: bandName})
 		}
@@ -201,51 +203,159 @@ func (m *TopologyMatcher) Match(info dataset.NetworkInfo) bool {
 // Done reports whether every expected network dataset has been matched.
 func (m *TopologyMatcher) Done() bool { return m.idx == len(m.expect) }
 
-// netResult is one network's synthesized data: the per-band probe
-// datasets in band order plus the client log (nil when skipped).
-type netResult struct {
-	nets    []*dataset.NetworkData
-	clients *dataset.ClientData
-	err     error
+// Network is one topology network's synthesized data, as Generator.Run
+// emits it.
+type Network struct {
+	// Datasets holds the network's probe data, one dataset per band, in
+	// band order.
+	Datasets []*dataset.NetworkData
+	// Clients is the network's client log; nil when clients are skipped.
+	Clients *dataset.ClientData
 }
 
-// Generate builds the full synthetic dataset for opts. Every network
-// derives from an independent rng split of the root seed, so networks are
-// synthesized across a worker pool (Options.Workers) and assembled in
-// fleet order: the result is byte-identical at any worker count.
-func Generate(opts Options) (*dataset.Fleet, error) {
+// Generator synthesizes a fleet one network at a time. Every network
+// derives from an independent rng split of the root seed, so networks
+// are synthesized across a worker pool (Options.Workers) and emitted in
+// fleet order: the emitted data is byte-identical at any worker count.
+type Generator struct {
+	opts    Options
+	root    *rng.Stream
+	topo    []*topology.Network
+	pending atomic.Int64
+	maxPend atomic.Int64
+}
+
+// NewGenerator derives the fleet topology for opts. It is cheap —
+// layout only — so a caller can size its output (NumDatasets) before
+// paying for synthesis.
+func NewGenerator(opts Options) (*Generator, error) {
 	root := rng.New(opts.Seed)
 	fleetTopo, err := topology.GenerateFleet(root.Split("topology"), opts.Fleet)
 	if err != nil {
 		return nil, fmt.Errorf("synth: fleet topology: %w", err)
 	}
+	return &Generator{opts: opts, root: root, topo: fleetTopo.Networks}, nil
+}
 
-	n := len(fleetTopo.Networks)
-	results := make([]netResult, n)
-	// conc.ForEachN reports the error of the lowest-index network that
-	// failed and skips later work once anything fails, so the surfaced
-	// error does not depend on worker scheduling. Workers ≤ 0 follows the
-	// process worker budget.
-	if err := conc.ForEachN(n, opts.Workers, func(i int) error {
-		results[i] = buildNetwork(root, i, fleetTopo.Networks[i], opts)
-		return results[i].err
-	}); err != nil {
+// Meta returns the metadata of the generated dataset.
+func (g *Generator) Meta() dataset.Meta { return g.opts.Meta() }
+
+// NumDatasets returns how many network datasets Run emits in total: one
+// per network and band.
+func (g *Generator) NumDatasets() int {
+	n := 0
+	for _, topo := range g.topo {
+		n += len(topo.Bands)
+	}
+	return n
+}
+
+// hold counts the networks Run holds, from the start of a network's
+// synthesis to the return of its emit, and keeps the high-water mark.
+func (g *Generator) hold(d int64) {
+	p := g.pending.Add(d)
+	for m := g.maxPend.Load(); p > m && !g.maxPend.CompareAndSwap(m, p); m = g.maxPend.Load() {
+	}
+}
+
+// Run synthesizes every network and calls emit with each, in fleet
+// order, on the calling goroutine. With W workers it holds at most W
+// networks that are synthesized or in synthesis but not yet emitted:
+// a worker takes a slot before it starts a network, and the slot frees
+// when that network's emit returns. A synthesis error (the lowest
+// failing network's) or an emit error stops the feed; Run returns it
+// once every goroutine it started has exited.
+func (g *Generator) Run(emit func(Network) error) error {
+	n := len(g.topo)
+	workers := max(1, min(conc.Workers(g.opts.Workers), n))
+	slots := make(chan struct{}, workers)
+	results := make([]chan netResult, n)
+	for i := range results {
+		results[i] = make(chan netResult, 1)
+	}
+	stop := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case slots <- struct{}{}:
+				case <-stop:
+					return
+				}
+				select {
+				case <-stop: // both were ready; do not start another network
+					return
+				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					<-slots
+					return
+				}
+				g.hold(1)
+				results[i] <- g.build(i)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	// Indices are claimed in order, so the next network to emit is
+	// always claimed or claimable: every network before it has emitted
+	// and freed its slot.
+	for i := range n {
+		res := <-results[i]
+		if res.err != nil {
+			return res.err
+		}
+		err := emit(res.Network)
+		g.hold(-1)
+		<-slots
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// netResult is one network's synthesized data or its synthesis error.
+type netResult struct {
+	Network
+	err error
+}
+
+// Generate builds the full synthetic dataset for opts in memory: a
+// Generator run collected in fleet order. Writers that only need the
+// dataset on disk stream it instead (meshlab.GenerateDataset).
+func Generate(opts Options) (*dataset.Fleet, error) {
+	g, err := NewGenerator(opts)
+	if err != nil {
 		return nil, err
 	}
-	out := &dataset.Fleet{Meta: opts.Meta()}
-	for i := range results {
-		out.Networks = append(out.Networks, results[i].nets...)
-		if results[i].clients != nil {
-			out.Clients = append(out.Clients, results[i].clients)
+	out := &dataset.Fleet{Meta: g.Meta()}
+	err = g.Run(func(nw Network) error {
+		out.Networks = append(out.Networks, nw.Datasets...)
+		if nw.Clients != nil {
+			out.Clients = append(out.Clients, nw.Clients)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// buildNetwork synthesizes one network's probe and client data. It only
-// reads root's immutable split identity, so concurrent calls are safe.
-func buildNetwork(root *rng.Stream, i int, topo *topology.Network, opts Options) netResult {
+// build synthesizes network i's probe and client data. It only reads
+// the root's immutable split identity, so concurrent calls are safe.
+func (g *Generator) build(i int) netResult {
 	var res netResult
+	topo, opts := g.topo[i], g.opts
 	for _, bandName := range topo.Bands {
 		band, err := phy.BandByName(bandName)
 		if err != nil {
@@ -253,14 +363,14 @@ func buildNetwork(root *rng.Stream, i int, topo *topology.Network, opts Options)
 			return res
 		}
 		key := fmt.Sprintf("net%d/%s", i, bandName)
-		net := mesh.Build(root.Split("mesh/"+key), topo, band, mesh.BuildOptions{
+		net := mesh.Build(g.root.Split("mesh/"+key), topo, band, mesh.BuildOptions{
 			ParamsFor: opts.RadioParams,
 		})
-		nd := probe.Collect(root.Split("probe/"+key), net, opts.Probe)
-		res.nets = append(res.nets, nd)
+		nd := probe.Collect(g.root.Split("probe/"+key), net, opts.Probe)
+		res.Datasets = append(res.Datasets, nd)
 	}
 	if !opts.SkipClients {
-		res.clients = clients.Simulate(root.SplitN("clients", i), topo, opts.Clients)
+		res.Clients = clients.Simulate(g.root.SplitN("clients", i), topo, opts.Clients)
 	}
 	return res
 }

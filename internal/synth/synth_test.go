@@ -2,11 +2,19 @@ package synth
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"meshlab/internal/leakcheck"
 	"meshlab/internal/radio"
 	"meshlab/internal/wire"
 )
+
+// TestMain fails the package if a test leaves a synthesis worker running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestGenerateQuick(t *testing.T) {
 	f, err := Generate(Quick(1))
@@ -128,9 +136,10 @@ func TestSkipClients(t *testing.T) {
 
 func TestRadioParamsOverride(t *testing.T) {
 	opts := Quick(4)
-	calls := 0
+	// Generate's workers call the override concurrently.
+	var calls atomic.Int64
 	opts.RadioParams = func(outdoor bool) radio.Params {
-		calls++
+		calls.Add(1)
 		p := radio.DefaultParams(radio.Indoor)
 		p.DisableOffsets = true
 		return p
@@ -138,7 +147,7 @@ func TestRadioParamsOverride(t *testing.T) {
 	if _, err := Generate(opts); err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Fatal("RadioParams override never used")
 	}
 }
@@ -193,5 +202,88 @@ func TestCacheValidatableRejectsOutOfRangeDurations(t *testing.T) {
 	o.Probe.Duration = 3e9 // beyond int32 seconds: Meta would truncate
 	if o.CacheValidatable() {
 		t.Fatal("durations beyond int32 must not validate against a cache")
+	}
+}
+
+// shortQuick is the quick fleet with a one-hour probe window: the same
+// 12 networks, synthesized fast enough to run many times.
+func shortQuick(seed uint64, workers int) Options {
+	opts := Quick(seed)
+	opts.Probe.Duration = 3600
+	opts.Workers = workers
+	return opts
+}
+
+// TestRunEmitsInFleetOrderWithinWindow pins Run to Generate and bounds
+// what it holds: networks come out in fleet order, and no more than
+// the worker count are synthesized or in synthesis but not yet emitted,
+// even when emitting is slow.
+func TestRunEmitsInFleetOrderWithinWindow(t *testing.T) {
+	want, err := Generate(shortQuick(12, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		g, err := NewGenerator(shortQuick(12, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumDatasets() != len(want.Networks) {
+			t.Fatalf("NumDatasets = %d, Generate made %d", g.NumDatasets(), len(want.Networks))
+		}
+		var got []string
+		err = g.Run(func(nw Network) error {
+			for _, nd := range nw.Datasets {
+				got = append(got, nd.Info.Name+"/"+nd.Info.Band)
+			}
+			time.Sleep(2 * time.Millisecond) // let workers run ahead
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range want.Networks {
+			if got[i] != nd.Info.Name+"/"+nd.Info.Band {
+				t.Fatalf("workers=%d: dataset %d is %s, want %s/%s", workers, i, got[i], nd.Info.Name, nd.Info.Band)
+			}
+		}
+		if p := int(g.maxPend.Load()); p < 1 || p > workers {
+			t.Fatalf("workers=%d: held %d networks at once", workers, p)
+		}
+	}
+}
+
+// TestRunEmitErrorStopsAndJoins: an emit that fails on the k-th network
+// ends the run with that error, after exactly k+1 emits, and every
+// worker goroutine has exited by the time Run returns.
+func TestRunEmitErrorStopsAndJoins(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, k := range []int{0, 1, 5, 11} {
+			t.Run(fmt.Sprintf("workers=%d/k=%d", workers, k), func(t *testing.T) {
+				before := leakcheck.Take()
+				g, err := NewGenerator(shortQuick(13, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				boom := errors.New("emit failed")
+				emits := 0
+				err = g.Run(func(Network) error {
+					emits++
+					if emits == k+1 {
+						return boom
+					}
+					return nil
+				})
+				if !errors.Is(err, boom) {
+					t.Fatalf("Run returned %v, want the emit error", err)
+				}
+				if emits != k+1 {
+					t.Fatalf("%d emits after a failure at emit %d", emits, k+1)
+				}
+				if err := before.Check(time.Second); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -48,6 +48,7 @@ func hugeSampleSection() []byte {
 	w.u32(1) // one group
 	w.str("x")
 	w.u32(1 << 27) // absurd sample count, "backed" by the lying secLen
+	w.flush()
 	return buf.Bytes()
 }
 
@@ -85,6 +86,7 @@ func lyingGroupCount() []byte {
 	for i := 0; i < nr; i++ {
 		bw.f64(float64(i))
 	}
+	bw.flush()
 
 	var buf bytes.Buffer
 	w := &writer{w: &buf}
@@ -96,6 +98,7 @@ func lyingGroupCount() []byte {
 	w.u32(0) // no client datasets
 	w.u64(uint64(body.Len()))
 	w.bytes(body.Bytes())
+	w.flush()
 	return buf.Bytes()
 }
 

@@ -16,11 +16,12 @@
 //     section holding the pre-flattened §4 samples (snr.Sample) so warm
 //     analysis starts are O(read) instead of re-flattening probe data.
 //
-// Write and WriteWithSamples produce MLF2; Read and Reader accept both
-// versions. Reader is the streaming API: it walks a fleet file
-// network-by-network with optional band/size filtering and per-network
-// skip, so analysis peak memory is bounded by the largest single network
-// plus whatever the caller retains — not the fleet.
+// Encoder produces MLF2 one network at a time, spooling the trailing
+// sections (Write and WriteWithSamples are loops over it); Read and
+// Reader accept both versions. Reader is the streaming API: it walks a
+// fleet file network-by-network with optional band/size filtering and
+// per-network skip, so analysis peak memory is bounded by the largest
+// single network plus whatever the caller retains — not the fleet.
 package wire
 
 import (
@@ -46,53 +47,74 @@ var bandNames = map[uint8]string{0: "bg", 1: "n"}
 var envCodes = map[string]uint8{"indoor": 0, "outdoor": 1, "mixed": 2}
 var envNames = map[uint8]string{0: "indoor", 1: "outdoor", 2: "mixed"}
 
-// writer wraps little-endian primitives with sticky errors. The target is
-// either the output's bufio.Writer or a per-record scratch buffer (v2
-// records are length-prefixed, so they are staged before emission).
+// chunkSize is the writer's flush threshold: encoders append fields into
+// one reused buffer and hand it to the destination about once per MiB,
+// instead of making one Write call per field.
+const chunkSize = 1 << 20
+
+// writer appends little-endian fields to buf and, at boundaries the
+// encoder picks (maybeFlush), hands buf to w once it passes chunkSize. A
+// writer with a nil w never flushes: it is an in-memory buffer. n counts
+// the bytes already flushed, and err is sticky.
 type writer struct {
 	w   io.Writer
+	buf []byte
+	n   int64
 	err error
-	buf [8]byte
 }
 
-func (w *writer) bytes(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
+func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
+func (w *writer) u8(v uint8)     { w.buf = append(w.buf, v) }
+func (w *writer) u16(v uint16)   { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) i16(v int16)    { w.u16(uint16(v)) }
+func (w *writer) i32(v int32)    { w.u32(uint32(v)) }
+func (w *writer) f32(v float32)  { w.u32(math.Float32bits(v)) }
+func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
 
-func (w *writer) u8(v uint8) { w.buf[0] = v; w.bytes(w.buf[:1]) }
-
-func (w *writer) u16(v uint16) {
-	binary.LittleEndian.PutUint16(w.buf[:2], v)
-	w.bytes(w.buf[:2])
-}
-
-func (w *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.bytes(w.buf[:4])
-}
-
-func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.bytes(w.buf[:8])
-}
-
-func (w *writer) i16(v int16)   { w.u16(uint16(v)) }
-func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
-func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-
+// str appends a u16-length-prefixed string. Encoders check every string
+// with checkStr before a record's first byte; an unchecked long string
+// still fails the writer rather than truncating its prefix.
 func (w *writer) str(s string) {
-	if len(s) > math.MaxUint16 {
+	if err := checkStr(s); err != nil {
 		if w.err == nil {
-			w.err = fmt.Errorf("wire: string too long (%d bytes)", len(s))
+			w.err = err
 		}
 		return
 	}
 	w.u16(uint16(len(s)))
-	w.bytes([]byte(s))
+	w.buf = append(w.buf, s...)
+}
+
+// checkStr rejects a string too long for the format's u16 length prefix.
+func checkStr(s string) error {
+	if len(s) > math.MaxUint16 {
+		return fmt.Errorf("wire: string too long (%d bytes)", len(s))
+	}
+	return nil
+}
+
+// size returns the bytes written so far, flushed or buffered.
+func (w *writer) size() int64 { return w.n + int64(len(w.buf)) }
+
+// maybeFlush flushes once the buffer passes chunkSize.
+func (w *writer) maybeFlush() {
+	if w.w != nil && len(w.buf) >= chunkSize {
+		w.flush()
+	}
+}
+
+// flush hands the buffer to w and returns the sticky error.
+func (w *writer) flush() error {
+	if w.w != nil && len(w.buf) > 0 {
+		if w.err == nil {
+			_, w.err = w.w.Write(w.buf)
+		}
+		w.n += int64(len(w.buf))
+		w.buf = w.buf[:0]
+	}
+	return w.err
 }
 
 // reader wraps buffered little-endian primitives with sticky errors and a

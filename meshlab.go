@@ -136,8 +136,7 @@ func WriteFleetBinary(w io.Writer, f *Fleet) error { return wire.Write(w, f) }
 // reference scale); dataset caches use it, interchange files usually
 // should not.
 func WriteFleetBinaryWithSamples(w io.Writer, f *Fleet) error {
-	_, err := wire.WriteWithSamples(w, f)
-	return err
+	return wire.EncodeFleet(w, f, wire.EncodeOptions{Samples: true})
 }
 
 // isBinaryMagic reports whether head starts a binary fleet file of any
@@ -161,42 +160,218 @@ func ReadFleet(r io.Reader) (*Fleet, error) {
 }
 
 // SaveFleet writes a fleet to a file: the binary format when the path
-// ends in ".bin", JSON lines otherwise.
+// ends in ".bin", JSON lines otherwise. The write is atomic (temp +
+// fsync + rename, like the dataset cache): a concurrent reader or a
+// crash only ever observes the previous file or the complete new one,
+// so a failed write leaves whatever was at the path untouched. An
+// existing device or pipe at the path (say /dev/null) is written in
+// place.
 func SaveFleet(path string, f *Fleet) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("meshlab: %w", err)
-	}
-	defer file.Close()
-	write := dataset.Write
-	if strings.HasSuffix(path, ".bin") {
-		write = wire.Write
-	}
-	if err := write(file, f); err != nil {
-		return err
-	}
-	return file.Close()
+	_, err := saveDataset(path, f.Meta, len(f.Networks), false, fleetFeed(f))
+	return err
 }
 
 // SaveFleetWithSamples writes a fleet to a binary file (the path must end
 // in ".bin") with the flat-sample section appended, so streaming runs
-// over the file read the §4 samples instead of re-flattening. meshgen's
-// -flat-samples flag uses it. The write is atomic (temp + fsync +
-// rename, like the dataset cache): a concurrent reader or a crash only
-// ever observes the previous file or the complete new one, so a present
-// file at the path is always a whole dataset.
+// over the file read the §4 samples instead of re-flattening. The write
+// is atomic, like SaveFleet's.
 func SaveFleetWithSamples(path string, f *Fleet) error {
-	if !strings.HasSuffix(path, ".bin") {
-		return fmt.Errorf("meshlab: the flat-sample section requires the binary format (a .bin path), got %s", path)
+	_, err := saveDataset(path, f.Meta, len(f.Networks), true, fleetFeed(f))
+	return err
+}
+
+// DatasetSummary counts what a dataset holds: the figures meshgen
+// prints after writing one.
+type DatasetSummary struct {
+	Meta Meta
+	// Datasets counts network datasets (one per network and band), BG and
+	// N those on each band.
+	Datasets, BG, N int
+	// Links counts directed links, ProbeSets probe sets, and Clients the
+	// clients of every client log.
+	Links, ProbeSets, Clients int
+}
+
+func (s *DatasetSummary) addNetwork(nd *dataset.NetworkData) {
+	s.Datasets++
+	switch nd.Info.Band {
+	case "bg":
+		s.BG++
+	case "n":
+		s.N++
 	}
+	s.Links += len(nd.Links)
+	for _, l := range nd.Links {
+		s.ProbeSets += len(l.Sets)
+	}
+}
+
+// SummarizeFleet counts an in-memory fleet.
+func SummarizeFleet(f *Fleet) DatasetSummary {
+	s := DatasetSummary{Meta: f.Meta}
+	for _, nd := range f.Networks {
+		s.addNetwork(nd)
+	}
+	for _, cd := range f.Clients {
+		s.Clients += len(cd.Clients)
+	}
+	return s
+}
+
+// GenerateDataset synthesizes the dataset for opts straight into a file,
+// one network at a time, and never holds the fleet: each network is
+// validated, then encoded, as it leaves the synthesis pipeline, so peak
+// memory is the pipeline's window of in-flight networks (the worker
+// count), not the fleet. The format follows the path like SaveFleet's;
+// flatSamples appends the flat-sample section, streamed through spool
+// files beside the output (".bin" paths only). The write is atomic. The
+// bytes equal SaveFleet (or SaveFleetWithSamples) of
+// GenerateFleet(opts).
+func GenerateDataset(path string, opts Options, flatSamples bool) (DatasetSummary, error) {
+	return generateDataset(path, opts, flatSamples, nil)
+}
+
+// generateDataset is GenerateDataset with a hook called after each
+// network is written (by fleet index); its error aborts the write.
+func generateDataset(path string, opts Options, flatSamples bool, written func(int) error) (DatasetSummary, error) {
+	g, err := synth.NewGenerator(opts)
+	if err != nil {
+		return DatasetSummary{}, err
+	}
+	return saveDataset(path, g.Meta(), g.NumDatasets(), flatSamples, func(s *datasetSink) error {
+		i := 0
+		return g.Run(func(nw synth.Network) error {
+			for _, nd := range nw.Datasets {
+				if err := nd.Validate(); err != nil {
+					return fmt.Errorf("generated fleet failed validation: %w", err)
+				}
+			}
+			if nw.Clients != nil {
+				if err := nw.Clients.Validate(); err != nil {
+					return fmt.Errorf("generated fleet failed validation: %w", err)
+				}
+			}
+			for _, nd := range nw.Datasets {
+				if err := s.network(nd); err != nil {
+					return err
+				}
+			}
+			if nw.Clients != nil {
+				if err := s.clients(nw.Clients); err != nil {
+					return err
+				}
+			}
+			if written != nil {
+				if err := written(i); err != nil {
+					return err
+				}
+			}
+			i++
+			return nil
+		})
+	})
+}
+
+// datasetSink encodes networks and client logs, in fleet order, in the
+// format of one output file, and counts them.
+type datasetSink struct {
+	enc interface {
+		Network(*dataset.NetworkData) error
+		Clients(*dataset.ClientData) error
+		Close() error
+	}
+	sum DatasetSummary
+}
+
+func (s *datasetSink) network(nd *dataset.NetworkData) error {
+	s.sum.addNetwork(nd)
+	return s.enc.Network(nd)
+}
+
+func (s *datasetSink) clients(cd *dataset.ClientData) error {
+	s.sum.Clients += len(cd.Clients)
+	return s.enc.Clients(cd)
+}
+
+// fleetFeed feeds an in-memory fleet to a datasetSink.
+func fleetFeed(f *Fleet) func(*datasetSink) error {
+	return func(s *datasetSink) error {
+		for _, nd := range f.Networks {
+			if err := s.network(nd); err != nil {
+				return err
+			}
+		}
+		for _, cd := range f.Clients {
+			if err := s.clients(cd); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// saveDataset writes the dataset feed produces to path, in the format
+// the path selects, through writeOutput, and returns its counts.
+// numDatasets is the network dataset count feed will deliver.
+func saveDataset(path string, meta Meta, numDatasets int, samples bool, feed func(*datasetSink) error) (DatasetSummary, error) {
+	bin := strings.HasSuffix(path, ".bin")
+	if samples && !bin {
+		return DatasetSummary{}, fmt.Errorf("meshlab: the flat-sample section requires the binary format (a .bin path), got %s", path)
+	}
+	var sum DatasetSummary
+	err := writeOutput(path, func(w io.Writer, spoolDir string) error {
+		s := &datasetSink{sum: DatasetSummary{Meta: meta}}
+		if bin {
+			enc := wire.NewEncoder(w, meta, numDatasets, wire.EncodeOptions{Samples: samples, SpoolDir: spoolDir})
+			defer enc.Abort()
+			s.enc = enc
+		} else {
+			s.enc = dataset.NewEncoder(w, meta)
+		}
+		if err := feed(s); err != nil {
+			return err
+		}
+		if err := s.enc.Close(); err != nil {
+			return err
+		}
+		sum = s.sum
+		return nil
+	})
+	return sum, err
+}
+
+// writeOutput writes a file through write, which gets the destination
+// and the directory its spools belong in. A regular (or missing) path is
+// written atomically — atomicio's temp file beside it, fsync, rename —
+// so a failed or interrupted write leaves the previous file intact. An
+// existing non-regular path (a device such as /dev/null, or a pipe)
+// cannot be replaced by a rename: it is written in place, spooling in
+// the system temp directory. Errors from write are returned as they
+// are.
+func writeOutput(path string, write func(w io.Writer, spoolDir string) error) error {
+	if info, err := os.Stat(path); err == nil && !info.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return fmt.Errorf("meshlab: %w", err)
+		}
+		if err := write(f, os.TempDir()); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("meshlab: %w", err)
+		}
+		return nil
+	}
+	var werr error
 	err := atomicio.WriteFile(path, 0o644, func(tmp *os.File) error {
-		_, werr := wire.WriteWithSamples(tmp, f)
+		werr = write(tmp, filepath.Dir(path))
 		return werr
 	})
-	if err != nil {
+	if err != nil && err != werr {
 		return fmt.Errorf("meshlab: %w", err)
 	}
-	return nil
+	return err
 }
 
 // LoadFleet reads a fleet from a file in either format.
@@ -616,13 +791,12 @@ func SampleOnlyExperiment(id string) bool { return experiments.SampleOnly(id) }
 // writeDatasetCache atomically replaces path with f in the current binary
 // format, flat-sample section included — atomicio's temp + fsync +
 // rename, so concurrent readers never observe a torn cache and a crash
-// mid-write cannot lose the previous one. The cache gets the usual 0644
-// data-file mode so other users of a shared fixture can read it, like
-// SaveFleet output.
+// mid-write cannot lose the previous one. The sample section spools
+// beside the cache. The cache gets the usual 0644 data-file mode so other
+// users of a shared fixture can read it, like SaveFleet output.
 func writeDatasetCache(path string, f *Fleet) error {
 	err := atomicio.WriteFile(path, 0o644, func(tmp *os.File) error {
-		_, werr := wire.WriteWithSamples(tmp, f)
-		return werr
+		return wire.EncodeFleet(tmp, f, wire.EncodeOptions{Samples: true, SpoolDir: filepath.Dir(path)})
 	})
 	if err != nil {
 		return fmt.Errorf("meshlab: dataset cache: %w", err)
