@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"meshlab/internal/dataset"
@@ -231,4 +233,77 @@ func TestStreamSnapshotLifecycleAndCorruption(t *testing.T) {
 	if err := done.Snapshot(&bytes.Buffer{}); err == nil {
 		t.Fatal("Snapshot after Finalize should refuse")
 	}
+}
+
+// streamSnapshotDigests are the sha256 digests of a quick-fleet section
+// run's StreamContext snapshot: after half the sample groups have been
+// fed, and after all of them. A checkpoint written before a kernel change
+// resumes after it only if these bytes hold.
+var streamSnapshotDigests = [2]string{
+	"1cd7ee6b879abb8388adbfe05d620dc1b55c2fbb327205130302d386d8602329",
+	"2e6262f7625b5a5b6c2e05430a58321fef9d65af412d32230f3ccf2c3c236dc9",
+}
+
+// TestStreamSnapshotBytesPinned pins the whole-context checkpoint bytes
+// of a section run (every network observed, then the flat-sample groups
+// fed through ObserveSampleGroup), mid-feed and at its end. Each point is
+// taken twice: with whole-network groups, and with every group split in
+// two at a link boundary, which drives the penalty core's AP and Network
+// banking. Both feeds must serialize the same bytes.
+func TestStreamSnapshotBytesPinned(t *testing.T) {
+	f := quickFleet(t)
+	groups := bandGroups(t, f)
+	for _, split := range []bool{false, true} {
+		sc := NewStreamContext(2)
+		sc.DeferSamples()
+		for _, nd := range f.Networks {
+			if err := sc.Observe(nd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got [2]string
+		snap := func(k int) {
+			var buf bytes.Buffer
+			if err := sc.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			got[k] = hex.EncodeToString(sum[:])
+		}
+		for i, g := range groups {
+			if i == len(groups)/2 {
+				snap(0)
+			}
+			parts := [][]snr.Sample{g.samples}
+			if cut := linkCut(g.samples); split && cut > 0 {
+				parts = [][]snr.Sample{g.samples[:cut], g.samples[cut:]}
+			}
+			for _, p := range parts {
+				if err := sc.ObserveSampleGroup(g.band, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap(1)
+		sc.FinishSamples()
+		if err := sc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		for k, at := range []string{"mid-feed", "end of feed"} {
+			if got[k] != streamSnapshotDigests[k] {
+				t.Errorf("split %v, %s: snapshot digest %s, pinned %s", split, at, got[k], streamSnapshotDigests[k])
+			}
+		}
+	}
+}
+
+// linkCut returns the first directed-link boundary at or after the middle
+// of g, or 0 when g has no boundary there.
+func linkCut(g []snr.Sample) int {
+	for i := len(g) / 2; i > 0 && i < len(g); i++ {
+		if g[i].From != g[i-1].From || g[i].To != g[i-1].To {
+			return i
+		}
+	}
+	return 0
 }
