@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"meshlab/internal/dataset"
 	"meshlab/internal/experiments"
 	"meshlab/internal/phy"
 	"meshlab/internal/rng"
@@ -135,6 +136,44 @@ func BenchmarkCoverage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tbl.Coverage(8)
+	}
+}
+
+// BenchmarkSampleRun is the -sec4 population (every SampleIDs
+// experiment) through SampleRun over the bench fleet's per-network
+// sample groups, flattened once outside the loop: the §4 feed, from one
+// GroupView per group to the cores' tables, plus Finalize.
+func BenchmarkSampleRun(b *testing.B) {
+	type group struct {
+		band    string
+		samples []snr.Sample
+	}
+	var groups []group
+	fleet := benchmarkFleet(b)
+	for _, band := range []string{"bg", "n"} {
+		for _, nd := range fleet.ByBand(band) {
+			samples, err := snr.Flatten([]*dataset.NetworkData{nd})
+			if err != nil {
+				b.Fatal(err)
+			}
+			groups = append(groups, group{band, samples})
+		}
+	}
+	ids := SampleExperimentIDs()
+	b.ReportAllocs()
+	for b.Loop() {
+		run, err := experiments.NewSampleRun(ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range groups {
+			if err := run.ObserveGroup(g.band, g.samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := run.Finalize(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -12,7 +12,9 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/conc"
 	"meshlab/internal/phy"
 	"meshlab/internal/snr"
@@ -36,9 +38,9 @@ func init() {
 	registerSamples("fig4.5", "Correlation between SNR and throughput (802.11b/g)",
 		func() accumulator { return &fig45Acc{tput: snr.NewTputAccum(len(phy.BandBG.Rates), 25)} })
 	registerSamples("fig4.6", "Accuracy of online look-up table strategies",
-		func() accumulator { return &fig46Acc{strat: snr.NewStrategyAccum(len(phy.BandBG.Rates), fig46MaxX)} })
+		func() accumulator { return &fig46Acc{} })
 	registerSamples("tab4.1", "Costs of each look-up table strategy",
-		func() accumulator { return &tab41Acc{strat: snr.NewStrategyAccum(len(phy.BandBG.Rates), fig46MaxX)} })
+		func() accumulator { return &tab41Acc{} })
 }
 
 // fig41Acc reproduces Figure 4.1: which rates were ever optimal per SNR.
@@ -49,9 +51,9 @@ type fig41Acc struct {
 	sets *snr.RateSetAccum
 }
 
-func (a *fig41Acc) observeSampleGroup(band string, samples []snr.Sample) error {
+func (a *fig41Acc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band == "bg" {
-		a.sets.ObserveGroup(samples)
+		a.sets.ObserveGroup(v)
 	}
 	return nil
 }
@@ -108,12 +110,12 @@ func newCoverageAcc(band string, phyBand phy.Band, note string) *coverageAcc {
 	return a
 }
 
-func (a *coverageAcc) observeSampleGroup(band string, samples []snr.Sample) error {
+func (a *coverageAcc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band != a.band {
 		return nil
 	}
 	return conc.ForEach(len(a.scope), func(i int) error {
-		a.scope[i].ObserveGroup(samples)
+		a.scope[i].ObserveGroup(v)
 		return nil
 	})
 }
@@ -175,11 +177,11 @@ func newFig44Acc() *fig44Acc {
 	}}
 }
 
-func (a *fig44Acc) observeSampleGroup(band string, samples []snr.Sample) error {
+func (a *fig44Acc) observeSampleGroup(band string, v *snr.GroupView) error {
 	for i := range a.bands {
 		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(samples)
-			a.bands[i].seen += len(samples)
+			a.bands[i].acc.ObserveGroup(v)
+			a.bands[i].seen += v.Len()
 		}
 	}
 	return nil
@@ -214,9 +216,9 @@ type fig45Acc struct {
 	tput *snr.TputAccum
 }
 
-func (a *fig45Acc) observeSampleGroup(band string, samples []snr.Sample) error {
+func (a *fig45Acc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band == "bg" {
-		a.tput.ObserveGroup(samples)
+		a.tput.ObserveGroup(v)
 	}
 	return nil
 }
@@ -241,21 +243,65 @@ func (a *fig45Acc) finalize(*StreamContext) (*Result, error) {
 // fig46MaxX caps the history-length axis of the online-strategy replays.
 const fig46MaxX = 35
 
-// fig46Acc reproduces Figure 4.6: prediction accuracy versus probe sets
-// seen, for the four online strategies.
-type fig46Acc struct {
-	strat *snr.StrategyAccum
+// strategyReplay is the online-strategy replay of the b/g samples that
+// fig4.6 and tab4.1 both render. A StreamContext runs one per run and
+// feeds it once per group, however many of the two are selected.
+type strategyReplay struct {
+	acc *snr.StrategyAccum
+	// restored is set once a snapshot section has been loaded into acc:
+	// each reader's section carries the same replay.
+	restored bool
 }
 
-func (a *fig46Acc) observeSampleGroup(band string, samples []snr.Sample) error {
+func newStrategyReplay() *strategyReplay {
+	return &strategyReplay{acc: snr.NewStrategyAccum(len(phy.BandBG.Rates), fig46MaxX)}
+}
+
+func (p *strategyReplay) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band == "bg" {
-		a.strat.ObserveGroup(samples)
+		p.acc.ObserveGroup(v)
 	}
 	return nil
 }
 
+// restore loads one reader's snapshot section. The first section loads
+// the replay; a later one must agree with it.
+func (p *strategyReplay) restore(r *binio.Reader) error {
+	if !p.restored {
+		p.restored = true
+		return p.acc.Restore(r)
+	}
+	again := newStrategyReplay()
+	if err := again.acc.Restore(r); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(again.acc.Finalize(), p.acc.Finalize()) {
+		return fmt.Errorf("the fig4.6 and tab4.1 sections hold different strategy replays")
+	}
+	return nil
+}
+
+// strategyReader is embedded by the experiments that render the shared
+// replay; the StreamContext hands it over with shareReplay.
+type strategyReader struct{ replay *strategyReplay }
+
+func (r *strategyReader) shareReplay(p *strategyReplay) { r.replay = p }
+
+func (r *strategyReader) snapshot(w *binio.Writer) { w.Check(r.replay.acc.Snapshot(w)) }
+
+func (r *strategyReader) restore(br *binio.Reader) error {
+	if err := r.replay.restore(br); err != nil {
+		return err
+	}
+	return br.Err()
+}
+
+// fig46Acc reproduces Figure 4.6: prediction accuracy versus probe sets
+// seen, for the four online strategies.
+type fig46Acc struct{ strategyReader }
+
 func (a *fig46Acc) finalize(*StreamContext) (*Result, error) {
-	results := a.strat.Finalize()
+	results := a.replay.acc.Finalize()
 	res := &Result{Header: []string{"probe sets seen", "first", "most-recent", "subsampled", "all"}}
 	for _, x := range []int{1, 2, 3, 5, 10, 15, 20, 25, 30, 35} {
 		row := []string{itoa(x)}
@@ -280,19 +326,10 @@ func (a *fig46Acc) finalize(*StreamContext) (*Result, error) {
 
 // tab41Acc reproduces Table 4.1: update frequency and memory per
 // strategy, with measured counts from replaying the fleet.
-type tab41Acc struct {
-	strat *snr.StrategyAccum
-}
-
-func (a *tab41Acc) observeSampleGroup(band string, samples []snr.Sample) error {
-	if band == "bg" {
-		a.strat.ObserveGroup(samples)
-	}
-	return nil
-}
+type tab41Acc struct{ strategyReader }
 
 func (a *tab41Acc) finalize(*StreamContext) (*Result, error) {
-	results := a.strat.Finalize()
+	results := a.replay.acc.Finalize()
 	labels := map[snr.Strategy][2]string{
 		snr.First:      {"Low", "Small"},
 		snr.MostRecent: {"High", "Small"},

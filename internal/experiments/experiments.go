@@ -121,8 +121,19 @@ type netObserver interface {
 // file section stores bands contiguously, a walk interleaves them) —
 // accumulators must keep per-band state independent, which every §4
 // table does naturally.
+//
+// A group arrives as a GroupView, built once per group by the feeding
+// goroutine and shared by every accumulator, so the instance orders the
+// chunked cores walk are sorted once per group, not once per core.
 type sampleObserver interface {
-	observeSampleGroup(band string, samples []snr.Sample) error
+	observeSampleGroup(band string, v *snr.GroupView) error
+}
+
+// replayReader is implemented by the experiments that render the shared
+// online-strategy replay (fig4.6, tab4.1). The StreamContext runs one
+// replay, feeds it as a sample observer of its own, and hands it to each.
+type replayReader interface {
+	shareReplay(*strategyReplay)
 }
 
 // sharedOnly adapts an experiment that consumes no per-network data —

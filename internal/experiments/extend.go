@@ -45,11 +45,11 @@ func newExt4topkAcc() *ext4topkAcc {
 	}}
 }
 
-func (a *ext4topkAcc) observeSampleGroup(band string, samples []snr.Sample) error {
+func (a *ext4topkAcc) observeSampleGroup(band string, v *snr.GroupView) error {
 	for i := range a.bands {
 		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(samples)
-			a.bands[i].seen += len(samples)
+			a.bands[i].acc.ObserveGroup(v)
+			a.bands[i].seen += v.Len()
 		}
 	}
 	return nil

@@ -82,12 +82,15 @@ func (a *fig45Acc) merge(o accumulator) error {
 	return mergeAs(a, o, func(d, s *fig45Acc) { d.tput.Merge(s.tput) })
 }
 
+// fig4.6 and tab4.1 render their context's shared strategy replay, which
+// StreamContext.Merge folds once; their own merge only checks the type.
+
 func (a *fig46Acc) merge(o accumulator) error {
-	return mergeAs(a, o, func(d, s *fig46Acc) { d.strat.Merge(s.strat) })
+	return mergeAs(a, o, func(*fig46Acc, *fig46Acc) {})
 }
 
 func (a *tab41Acc) merge(o accumulator) error {
-	return mergeAs(a, o, func(d, s *tab41Acc) { d.strat.Merge(s.strat) })
+	return mergeAs(a, o, func(*tab41Acc, *tab41Acc) {})
 }
 
 // §5 — per-network appends; shard-order concatenation restores fleet order.
@@ -231,6 +234,9 @@ func (s *StreamContext) Merge(o *StreamContext) error {
 		if err := acc.merge(o.accs[i]); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
 		}
+	}
+	if s.replay != nil {
+		s.replay.acc.Merge(o.replay.acc)
 	}
 	s.samplesDone = s.samplesDone || o.samplesDone
 	s.mu.Lock()

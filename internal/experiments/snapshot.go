@@ -280,21 +280,9 @@ func (a *fig45Acc) restore(r *binio.Reader) error {
 	return r.Err()
 }
 
-func (a *fig46Acc) snapshot(w *binio.Writer) { w.Check(a.strat.Snapshot(w)) }
-func (a *fig46Acc) restore(r *binio.Reader) error {
-	if err := a.strat.Restore(r); err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-func (a *tab41Acc) snapshot(w *binio.Writer) { w.Check(a.strat.Snapshot(w)) }
-func (a *tab41Acc) restore(r *binio.Reader) error {
-	if err := a.strat.Restore(r); err != nil {
-		return err
-	}
-	return r.Err()
-}
+// fig4.6 and tab4.1 snapshot through their embedded strategyReader: each
+// writes the shared replay, so a section holds the bytes it did when each
+// experiment ran a replay of its own.
 
 // §5
 

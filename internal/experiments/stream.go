@@ -180,6 +180,9 @@ type StreamContext struct {
 	deferSamples bool
 	samplesDone  bool
 	sampleObs    []sampleObsAt
+	// replay is the strategy replay fig4.6 and tab4.1 share; nil when
+	// neither is selected.
+	replay *strategyReplay
 
 	cds []*dataset.ClientData
 	// mob is the §7 mobility analysis of cds, computed on first use.
@@ -234,6 +237,13 @@ func NewStreamContext(workers int, ids ...string) *StreamContext {
 		if so, ok := acc.(sampleObserver); ok {
 			s.sampleObs = append(s.sampleObs, sampleObsAt{idx: len(s.accs), so: so})
 		}
+		if rr, ok := acc.(replayReader); ok {
+			if s.replay == nil {
+				s.replay = newStrategyReplay()
+				s.sampleObs = append(s.sampleObs, sampleObsAt{idx: len(s.accs), so: s.replay})
+			}
+			rr.shareReplay(s.replay)
+		}
 		s.ids = append(s.ids, id)
 		s.accs = append(s.accs, acc)
 	}
@@ -248,11 +258,13 @@ func NewStreamContext(workers int, ids ...string) *StreamContext {
 func (s *StreamContext) DeferSamples() { s.deferSamples = true }
 
 // feedSampleGroup hands one network's samples to every §4 accumulator,
-// fanned across the worker budget — their states are independent.
+// fanned across the worker budget — their states are independent. The
+// group is indexed once, into the GroupView they all read.
 func (s *StreamContext) feedSampleGroup(band string, group []snr.Sample) error {
+	v := snr.NewGroupView(group)
 	return conc.ForEach(len(s.sampleObs), func(k int) error {
 		o := s.sampleObs[k]
-		if err := o.so.observeSampleGroup(band, group); err != nil {
+		if err := o.so.observeSampleGroup(band, v); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[o.idx], err)
 		}
 		return nil

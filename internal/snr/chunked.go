@@ -15,10 +15,11 @@ package snr
 // valid chunk (ForEachSampleGroup, the streaming walk's per-network
 // flatten), and wire.SampleGroups splits huge networks into smaller
 // chunks at link boundaries so no single network's samples ever need to
-// be resident at once. An accumulator may keep a reference to the most
-// recently observed chunk until the next ObserveGroup or Finalize call
-// (the held-first-chunk fast path below), so callers must not recycle
-// chunk backing arrays.
+// be resident at once. A chunk reaches the cores as a GroupView (view.go),
+// built once by the feeding goroutine and read by every core. An
+// accumulator may keep a reference to the most recently observed view
+// until the next ObserveGroup or Finalize call (the held-first-chunk fast
+// path below), so callers must not recycle chunk backing arrays.
 //
 // Two facts make exact chunked results cheap. First, quantization: a
 // sample's per-rate throughput is rate.Throughput(loss) where loss is
@@ -35,11 +36,16 @@ package snr
 // earliest boundary where they are final, banking quantized penalty
 // histograms where replay must wait.
 //
-// Within a chunk the cores walk cells instead of looking them up:
-// chunkOrder (dense.go) counting-sorts a network's samples so that each
-// link, or each (instance, SNR) training cell, is one contiguous run, and
-// every value histogram is a countTable keyed by float64 bits. The
-// per-sample loops build no map key, string or sorted copy.
+// Within a chunk the cores walk cells instead of looking them up: the
+// view hands each core its instance order, sorted once per group, in
+// which each link, or each (instance, SNR) training cell, is one
+// contiguous run. Values are counted by quantization level where they are
+// on the grid (quant.go): the throughput rows and the penalty histograms
+// and banks count in flat arrays and bytes, and the AP scope logs a split
+// network's samples to replay at its boundary. Off-grid values, and every
+// histogram the tables are read from, are countTables keyed by float64
+// bits (dense.go). The per-sample loops build no map key, string or
+// sorted copy.
 
 import (
 	"cmp"
@@ -186,6 +192,42 @@ type PenaltyDist struct {
 type bankedCell struct {
 	counts []int64    // per-rate optimal-rate training counts
 	pend   []diffHist // per candidate rate: histogram of clamped penalties
+	// dense banks the on-grid samples' penalties by level: per best
+	// level index, one block of counts by (candidate, candidate level).
+	// A cell sees few best levels, so a sample's penalties under every
+	// candidate land in one small block. spill moves counts into pend,
+	// where the off-grid samples' penalties already are.
+	dense byteCounts
+}
+
+// addRow banks one on-grid sample's penalties under every candidate.
+func (c *bankedCell) addRow(g *quantGrid, row []uint8, popt int) {
+	lbest := g.lbest(row, popt)
+	blk := c.dense.block(lbest, g.nr*levels, g.nr*levels)
+	for p, d := range row[:g.nr] {
+		i := p*levels + int(d)
+		if blk[i] == math.MaxUint8 {
+			c.spill(g, lbest, blk)
+		}
+		blk[i]++
+	}
+}
+
+// spill moves one best level's block into the cell's histograms.
+func (c *bankedCell) spill(g *quantGrid, lbest int, blk []uint8) {
+	for i, n := range blk {
+		if n != 0 {
+			p := i / levels
+			c.pend[p].add(g.penalty(p, lbest, i%levels), int64(n))
+			blk[i] = 0
+		}
+	}
+}
+
+// fold moves all of the cell's level-banked penalties into pend.
+func (c *bankedCell) fold(g *quantGrid) {
+	c.dense.each(func(lbest int, blk []uint8) { c.spill(g, lbest, blk) })
+	c.dense = byteCounts{}
 }
 
 // diffCount is one (dictionary id, count) entry of a compact bank: the
@@ -216,30 +258,30 @@ type apCellKey struct {
 //   - Global: cells span the fleet; they bank and resolve at Finalize.
 type penaltyScopeState struct {
 	scope Scope
-	diffs diffHist
+	diffs levelHist
 	exact int64
 
 	// Global and Network scopes: map-banked cells keyed by SNR.
 	cells map[int]*bankedCell
 
-	// AP scope: dictionary+slice banks.
+	// AP scope: the on-grid samples' levels in a log, and the off-grid
+	// samples' penalties in dictionary+slice banks.
 	apCells  map[apCellKey]int32
 	apCounts []int64       // [cell*nr + ri] training counts
-	apBanks  [][]diffCount // [cell*nr + p]
+	apLog    rowLog        // on-grid samples, by cell
+	apBanks  [][]diffCount // [cell*nr + p], off-grid samples
 	dict     countTable    // penalty value → dictionary id + 1
 	diffVals []float64
 	nanID    int32
 
-	// observeLocal's reusable scratch.
-	ord  chunkOrder
-	rate []int64 // one cell's per-rate training counts
+	rate []int64 // observeLocal's scratch: one cell's per-rate training counts
 
 	// held defers the current network's first chunk: if the network turns
 	// out to be unsplit (every network but the occasional huge one), its
 	// cells are complete and the chunk takes the same fast train-and-
 	// replay path the Link scope uses, skipping the banking machinery
 	// entirely. Only a network that actually spans chunks banks.
-	held    []Sample
+	held    *GroupView
 	banking bool
 
 	curNet  string
@@ -263,7 +305,7 @@ type PenaltyAccum struct {
 func NewPenaltyAccum(numRates int, scopes []Scope) *PenaltyAccum {
 	a := &PenaltyAccum{numRates: numRates}
 	for _, sc := range scopes {
-		st := penaltyScopeState{scope: sc, nanID: -1}
+		st := penaltyScopeState{scope: sc, nanID: -1, diffs: levelHist{grid: gridFor(numRates)}}
 		switch sc {
 		case Global, Network:
 			st.cells = make(map[int]*bankedCell)
@@ -279,20 +321,20 @@ func NewPenaltyAccum(numRates int, scopes []Scope) *PenaltyAccum {
 // of samples. Scopes are processed across the process worker budget;
 // their states are independent, so the result is byte-identical at any
 // budget.
-func (a *PenaltyAccum) ObserveGroup(group []Sample) {
-	if len(group) == 0 || a.numRates == 0 {
+func (a *PenaltyAccum) ObserveGroup(v *GroupView) {
+	if v.Len() == 0 || a.numRates == 0 {
 		return
 	}
-	a.total += int64(len(group))
+	a.total += int64(v.Len())
 	_ = conc.ForEach(len(a.states), func(si int) error {
 		st := &a.states[si]
 		switch st.scope {
 		case Global:
-			a.bankCells(st, group)
+			a.bankCells(st, v)
 		case Network, AP:
-			a.observeBoundary(st, group)
+			a.observeBoundary(st, v)
 		default:
-			a.observeLocal(st, group)
+			a.observeLocal(st, v)
 		}
 		return nil
 	})
@@ -302,11 +344,11 @@ func (a *PenaltyAccum) ObserveGroup(group []Sample) {
 // network's first chunk is held back; an unsplit network replays it on
 // the fast local path at the boundary, a split network falls back to
 // banking.
-func (a *PenaltyAccum) observeBoundary(st *penaltyScopeState, group []Sample) {
-	if net := group[0].Net; !st.netSeen || net != st.curNet {
+func (a *PenaltyAccum) observeBoundary(st *penaltyScopeState, v *GroupView) {
+	if net := v.Net(); !st.netSeen || net != st.curNet {
 		a.finishNet(st)
 		st.curNet, st.netSeen = net, true
-		st.held = group
+		st.held = v
 		return
 	}
 	// The network spans chunks: bank the held first chunk, then this one.
@@ -315,15 +357,15 @@ func (a *PenaltyAccum) observeBoundary(st *penaltyScopeState, group []Sample) {
 		st.held = nil
 		st.banking = true
 	}
-	a.bank(st, group)
+	a.bank(st, v)
 }
 
 // bank routes a chunk to the scope's banking form.
-func (a *PenaltyAccum) bank(st *penaltyScopeState, group []Sample) {
+func (a *PenaltyAccum) bank(st *penaltyScopeState, v *GroupView) {
 	if st.scope == AP {
-		a.bankAP(st, group)
+		a.bankAP(st, v)
 	} else {
-		a.bankCells(st, group)
+		a.bankCells(st, v)
 	}
 }
 
@@ -346,26 +388,39 @@ func (a *PenaltyAccum) finishNet(st *penaltyScopeState) {
 
 // bankCells trains the state's map-banked cells (SNR-keyed: the Global
 // scope fleet-wide, the Network scope within the current network) and
-// banks each sample's penalty under every candidate rate.
-func (a *PenaltyAccum) bankCells(st *penaltyScopeState, group []Sample) {
+// banks each sample's penalty under every candidate rate. The view's
+// per-network SNR runs visit each cell once per run, not once per sample.
+func (a *PenaltyAccum) bankCells(st *penaltyScopeState, v *GroupView) {
 	nr := a.numRates
-	for i := range group {
-		s := &group[i]
-		cell := st.cells[s.SNR]
+	group := v.samples
+	g := st.diffs.grid
+	lv := v.levelsOf(g)
+	idx, runs := v.cells(Network, true)
+	for r := 1; r < len(runs); r++ {
+		run := idx[runs[r-1]:runs[r]]
+		snrVal := group[run[0]].SNR
+		cell := st.cells[snrVal]
 		if cell == nil {
 			cell = &bankedCell{
 				counts: make([]int64, nr),
 				pend:   make([]diffHist, nr),
 			}
-			st.cells[s.SNR] = cell
+			st.cells[snrVal] = cell
 		}
-		cell.counts[s.Popt]++
-		for p := 0; p < nr; p++ {
-			diff := s.BestTput - s.Tput[p]
-			if diff < 0 {
-				diff = 0
+		for _, i := range run {
+			s := &group[i]
+			cell.counts[s.Popt]++
+			if row := g.row(lv, int(i)); row != nil {
+				cell.addRow(g, row, s.Popt)
+				continue
 			}
-			cell.pend[p].add(diff, 1)
+			for p := 0; p < nr; p++ {
+				diff := s.BestTput - s.Tput[p]
+				if diff < 0 {
+					diff = 0
+				}
+				cell.pend[p].add(diff, 1)
+			}
 		}
 	}
 }
@@ -382,13 +437,20 @@ func (a *PenaltyAccum) resolveCells(st *penaltyScopeState) {
 		}
 		st.exact += cell.counts[best]
 		st.diffs.merge(&cell.pend[best])
+		cell.dense.each(func(lbest int, blk []uint8) {
+			for dp, n := range blk[best*levels : (best+1)*levels] {
+				if n != 0 {
+					st.diffs.addLevels(best, lbest, dp, int32(n))
+				}
+			}
+		})
 	}
 	if len(st.cells) > 0 {
 		st.cells = make(map[int]*bankedCell)
 	}
 }
 
-// diffID interns a penalty value in the scope's dictionary.
+// diffID interns an off-grid penalty value in the scope's dictionary.
 func (st *penaltyScopeState) diffID(v float64) int32 {
 	if math.IsNaN(v) {
 		if st.nanID < 0 {
@@ -409,87 +471,105 @@ func (st *penaltyScopeState) diffID(v float64) int32 {
 // into compact dictionary slices: per (cell, candidate) the realized
 // penalty values are few (quantized throughputs over one AP's links at
 // one SNR), so a linear-scanned slice beats a map by an order of
-// magnitude in memory.
-func (a *PenaltyAccum) bankAP(st *penaltyScopeState, group []Sample) {
+// magnitude in memory. The view's (AP, SNR) runs look each cell up once
+// per run. An on-grid sample is only logged, its levels and cell, and
+// replays under its cell's predicted rate at resolveAP: one record per
+// sample instead of one bank update per candidate rate.
+func (a *PenaltyAccum) bankAP(st *penaltyScopeState, v *GroupView) {
 	nr := a.numRates
-	for i := range group {
-		s := &group[i]
-		key := apCellKey{from: int32(s.From), snr: int32(s.SNR)}
-		idx, ok := st.apCells[key]
+	group := v.samples
+	g := st.diffs.grid
+	lv := v.levelsOf(g)
+	idx, runs := v.cells(AP, true)
+	for r := 1; r < len(runs); r++ {
+		run := idx[runs[r-1]:runs[r]]
+		s0 := &group[run[0]]
+		key := apCellKey{from: int32(s0.From), snr: int32(s0.SNR)}
+		ci, ok := st.apCells[key]
 		if !ok {
-			idx = int32(len(st.apCells))
-			st.apCells[key] = idx
+			ci = int32(len(st.apCells))
+			st.apCells[key] = ci
 			st.apCounts = append(st.apCounts, make([]int64, nr)...)
 			st.apBanks = append(st.apBanks, make([][]diffCount, nr)...)
 		}
-		st.apCounts[int(idx)*nr+s.Popt]++
-		for p := 0; p < nr; p++ {
-			diff := s.BestTput - s.Tput[p]
-			if diff < 0 {
-				diff = 0
+		counts := st.apCounts[int(ci)*nr : int(ci+1)*nr]
+		banks := st.apBanks[int(ci)*nr : int(ci+1)*nr]
+		for _, i := range run {
+			s := &group[i]
+			counts[s.Popt]++
+			if row := g.row(lv, int(i)); row != nil {
+				st.apLog.add(ci, s.Popt, row)
+				continue
 			}
-			id := st.diffID(diff)
-			bank := &st.apBanks[int(idx)*nr+p]
-			found := false
-			for bi := range *bank {
-				if (*bank)[bi].id == id {
-					(*bank)[bi].n++
-					found = true
-					break
+			for p := range banks {
+				diff := s.BestTput - s.Tput[p]
+				if diff < 0 {
+					diff = 0
 				}
-			}
-			if !found {
-				*bank = append(*bank, diffCount{id: id, n: 1})
+				banks[p] = bumpDiff(banks[p], st.diffID(diff))
 			}
 		}
 	}
+}
+
+// bumpDiff counts one more penalty of dictionary id id in a compact bank.
+func bumpDiff(bank []diffCount, id int32) []diffCount {
+	for bi := range bank {
+		if bank[bi].id == id {
+			bank[bi].n++
+			return bank
+		}
+	}
+	return append(bank, diffCount{id: id, n: 1})
 }
 
 // resolveAP replays the finished AP cells of the current network and
 // resets the per-network state (the dictionary persists for the scope).
 func (a *PenaltyAccum) resolveAP(st *penaltyScopeState) {
 	nr := a.numRates
-	for idx := 0; idx < len(st.apCells); idx++ {
+	best := make([]int, len(st.apCells))
+	for idx := range best {
 		row := st.apCounts[idx*nr : (idx+1)*nr]
-		best, bestN := 0, int64(0)
+		bestN := int64(0)
 		for ri, n := range row {
 			if n > bestN {
-				best, bestN = ri, n
+				best[idx], bestN = ri, n
 			}
 		}
-		st.exact += row[best]
-		for _, dc := range st.apBanks[idx*nr+best] {
+		st.exact += row[best[idx]]
+		for _, dc := range st.apBanks[idx*nr+best[idx]] {
 			st.diffs.add(st.diffVals[dc.id], int64(dc.n))
 		}
 	}
+	g := st.diffs.grid
+	st.apLog.each(nr+1, func(cell int32, popt int, row []uint8) {
+		p := best[cell]
+		st.diffs.addLevels(p, g.lbest(row, popt), int(row[p]), 1)
+	})
 	if len(st.apCells) > 0 {
 		st.apCells = make(map[apCellKey]int32)
 		st.apCounts = st.apCounts[:0]
 		st.apBanks = st.apBanks[:0]
+		st.apLog = rowLog{}
 	}
 }
 
 // observeLocal runs one non-global scope's train-and-replay over a
-// chunk's completed cells. chunkOrder lays each (instance, SNR) cell out
-// as one run of sample indices, so a cell trains into a per-rate scratch
+// chunk's completed cells. The view lays each (instance, SNR) cell out as
+// one run of sample indices, so a cell trains into a per-rate scratch
 // row, predicts its most frequent rate (ties toward the lower index,
 // Lookup's rule), and replays its own samples into the histogram before
 // the next cell starts.
-func (a *PenaltyAccum) observeLocal(st *penaltyScopeState, group []Sample) {
-	_ = ForEachSampleGroup(group, func(net []Sample) error {
-		a.observeLocalNet(st, net)
-		return nil
-	})
-}
-
-func (a *PenaltyAccum) observeLocalNet(st *penaltyScopeState, group []Sample) {
+func (a *PenaltyAccum) observeLocal(st *penaltyScopeState, v *GroupView) {
 	if len(st.rate) != a.numRates {
 		st.rate = make([]int64, a.numRates)
 	}
-	idx := st.ord.sort(group, st.scope, true)
-	for start := 0; start < len(idx); {
-		end := runEnd(group, idx, start, st.scope, true)
-		cell := idx[start:end]
+	group := v.samples
+	g := st.diffs.grid
+	lv := v.levelsOf(g)
+	idx, runs := v.cells(st.scope, true)
+	for r := 1; r < len(runs); r++ {
+		cell := idx[runs[r-1]:runs[r]]
 		clear(st.rate)
 		for _, i := range cell {
 			st.rate[group[i].Popt]++
@@ -503,13 +583,16 @@ func (a *PenaltyAccum) observeLocalNet(st *penaltyScopeState, group []Sample) {
 		st.exact += bestN
 		for _, i := range cell {
 			s := &group[i]
+			if row := g.row(lv, int(i)); row != nil {
+				st.diffs.addLevels(p, g.lbest(row, s.Popt), int(row[p]), 1)
+				continue
+			}
 			diff := s.BestTput - s.Tput[p]
 			if diff < 0 {
 				diff = 0
 			}
 			st.diffs.add(diff, 1)
 		}
-		start = end
 	}
 }
 
@@ -527,6 +610,7 @@ func (a *PenaltyAccum) FinalizeDists() []PenaltyDist {
 		case Network, AP:
 			a.finishNet(st)
 		}
+		st.diffs.flush()
 		pd := PenaltyDist{Scope: st.scope, Diffs: st.diffs.freeze()}
 		if a.total > 0 {
 			pd.ExactFrac = float64(st.exact) / float64(a.total)
@@ -635,13 +719,11 @@ type CoverageAccum struct {
 	numRates int
 	agg      *coverageAgg
 	table    *Table // Global: fleet-lifetime; Network/AP: split current network
-	held     []Sample
+	held     *GroupView
 	curNet   string
 	netSeen  bool
 
-	// eachCell's reusable scratch.
-	ord  chunkOrder
-	rate []int // one cell's per-rate training counts
+	rate []int // eachCell's scratch: one cell's per-rate training counts
 }
 
 // NewCoverageAccum prepares an incremental coverage run. minObs is the
@@ -673,15 +755,15 @@ func (a *CoverageAccum) foldTable() {
 
 // ObserveGroup consumes one chunk (see PenaltyAccum for the chunk
 // contract).
-func (a *CoverageAccum) ObserveGroup(group []Sample) {
-	if len(group) == 0 {
+func (a *CoverageAccum) ObserveGroup(v *GroupView) {
+	if v.Len() == 0 {
 		return
 	}
 	switch a.scope {
 	case Link:
-		a.trainFold(group)
+		a.trainFold(v)
 	case Global:
-		a.tableAdd(group)
+		a.tableAdd(v)
 	default:
 		// Network, AP: cells complete at the network boundary. The first
 		// chunk is held back so an unsplit network (the common case)
@@ -691,50 +773,47 @@ func (a *CoverageAccum) ObserveGroup(group []Sample) {
 		// drives (kept separate because the flush actions differ); the
 		// sub-chunk oracles pin both against their batch forms, so a
 		// contract change that misses one of them fails loudly.
-		if net := group[0].Net; !a.netSeen || net != a.curNet {
+		if net := v.Net(); !a.netSeen || net != a.curNet {
 			a.finishNet()
 			a.curNet, a.netSeen = net, true
-			a.held = group
+			a.held = v
 			return
 		}
 		if a.held != nil {
 			a.tableAdd(a.held)
 			a.held = nil
 		}
-		a.tableAdd(group)
+		a.tableAdd(v)
 	}
 }
 
 // trainFold folds one complete-cell chunk straight into the aggregates.
-func (a *CoverageAccum) trainFold(group []Sample) {
-	a.eachCell(group, func(s *Sample, counts []int) { a.agg.addCell(s.SNR, counts) })
+func (a *CoverageAccum) trainFold(v *GroupView) {
+	a.eachCell(v, func(s *Sample, counts []int) { a.agg.addCell(s.SNR, counts) })
 }
 
 // tableAdd accumulates a chunk into the persistent table.
-func (a *CoverageAccum) tableAdd(group []Sample) {
-	a.eachCell(group, a.table.addCounts)
+func (a *CoverageAccum) tableAdd(v *GroupView) {
+	a.eachCell(v, a.table.addCounts)
 }
 
-// eachCell trains one chunk a cell at a time: chunkOrder lays each
+// eachCell trains one chunk a cell at a time: the view lays each
 // (instance, SNR) cell out as one run of samples, whose per-rate counts
 // go to fn with the run's first sample.
-func (a *CoverageAccum) eachCell(group []Sample, fn func(s *Sample, counts []int)) {
+func (a *CoverageAccum) eachCell(v *GroupView, fn func(s *Sample, counts []int)) {
 	if len(a.rate) != a.numRates {
 		a.rate = make([]int, a.numRates)
 	}
-	_ = ForEachSampleGroup(group, func(net []Sample) error {
-		idx := a.ord.sort(net, a.scope, true)
-		for start := 0; start < len(idx); {
-			end := runEnd(net, idx, start, a.scope, true)
-			clear(a.rate)
-			for _, i := range idx[start:end] {
-				a.rate[net[i].Popt]++
-			}
-			fn(&net[idx[start]], a.rate)
-			start = end
+	group := v.samples
+	idx, runs := v.cells(a.scope, true)
+	for r := 1; r < len(runs); r++ {
+		run := idx[runs[r-1]:runs[r]]
+		clear(a.rate)
+		for _, i := range run {
+			a.rate[group[i].Popt]++
 		}
-		return nil
-	})
+		fn(&group[run[0]], a.rate)
+	}
 }
 
 // finishNet completes the previous network: a held unsplit chunk folds
@@ -765,41 +844,75 @@ type TputAccum struct {
 	numRates, minObs int
 	minSNR, maxSNR   int
 	rows             map[int]*tputRow
+	grid             *quantGrid
 }
 
 type tputRow struct {
 	n     int64 // samples at this SNR (every sample hits every rate cell)
 	cells []diffHist
+	// levels counts on-grid throughputs by [rate*levels+level] until
+	// flushLevels moves them into cells.
+	levels []int64
 }
 
 // NewTputAccum prepares an incremental Figure 4.5 run.
 func NewTputAccum(numRates, minObs int) *TputAccum {
-	return &TputAccum{numRates: numRates, minObs: minObs, rows: make(map[int]*tputRow)}
+	return &TputAccum{numRates: numRates, minObs: minObs, rows: make(map[int]*tputRow), grid: gridFor(numRates)}
 }
 
-// ObserveGroup consumes one network's samples (any grouping works — the
-// histogram is order-independent — but groups keep the call pattern
-// uniform with the other accumulators).
-func (a *TputAccum) ObserveGroup(group []Sample) {
+// flushLevels moves every row's level counts into its value histograms,
+// the form Finalize, Snapshot and Merge read.
+func (a *TputAccum) flushLevels() {
+	for _, row := range a.rows {
+		for k, n := range row.levels {
+			if n != 0 {
+				row.cells[k/levels].add(a.grid.vals[k], n)
+				row.levels[k] = 0
+			}
+		}
+	}
+}
+
+// ObserveGroup consumes one chunk (any grouping works: the histogram is
+// order-independent). The view's per-network SNR runs look each row up
+// once per run.
+func (a *TputAccum) ObserveGroup(v *GroupView) {
 	if a.numRates == 0 {
 		return
 	}
-	for i := range group {
-		s := &group[i]
-		row := a.rows[s.SNR]
+	group := v.samples
+	lv := v.levelsOf(a.grid)
+	stride := a.numRates + 1
+	idx, runs := v.cells(Network, true)
+	for r := 1; r < len(runs); r++ {
+		run := idx[runs[r-1]:runs[r]]
+		snrVal := group[run[0]].SNR
+		row := a.rows[snrVal]
 		if row == nil {
 			row = &tputRow{cells: make([]diffHist, a.numRates)}
-			a.rows[s.SNR] = row
-			if len(a.rows) == 1 || s.SNR < a.minSNR {
-				a.minSNR = s.SNR
+			if a.grid != nil {
+				row.levels = make([]int64, a.numRates*levels)
 			}
-			if len(a.rows) == 1 || s.SNR > a.maxSNR {
-				a.maxSNR = s.SNR
+			a.rows[snrVal] = row
+			if len(a.rows) == 1 || snrVal < a.minSNR {
+				a.minSNR = snrVal
+			}
+			if len(a.rows) == 1 || snrVal > a.maxSNR {
+				a.maxSNR = snrVal
 			}
 		}
-		row.n++
-		for ri := 0; ri < a.numRates; ri++ {
-			row.cells[ri].add(s.Tput[ri], 1)
+		row.n += int64(len(run))
+		for _, i := range run {
+			if lv != nil && lv[int(i)*stride] != offGrid {
+				for ri, d := range lv[int(i)*stride : int(i)*stride+a.numRates] {
+					row.levels[ri*levels+int(d)]++
+				}
+				continue
+			}
+			tput := group[i].Tput
+			for ri := range row.cells {
+				row.cells[ri].add(tput[ri], 1)
+			}
 		}
 	}
 }
@@ -810,6 +923,7 @@ func (a *TputAccum) Finalize() []TputPoint {
 	if len(a.rows) == 0 {
 		return nil
 	}
+	a.flushLevels()
 	var out []TputPoint
 	for ri := 0; ri < a.numRates; ri++ {
 		for s := a.minSNR; s <= a.maxSNR; s++ {
@@ -852,16 +966,33 @@ func NewRateSetAccum() *RateSetAccum {
 	return &RateSetAccum{seen: make(map[int]map[int]bool)}
 }
 
-// ObserveGroup consumes one chunk of samples (any grouping).
-func (a *RateSetAccum) ObserveGroup(group []Sample) {
-	for i := range group {
-		s := &group[i]
-		m, ok := a.seen[s.SNR]
+// ObserveGroup consumes one chunk of samples (any grouping). Each of the
+// view's per-network SNR runs gathers its optimal rates in a bit set
+// before touching the map.
+func (a *RateSetAccum) ObserveGroup(v *GroupView) {
+	group := v.samples
+	idx, runs := v.cells(Network, true)
+	for r := 1; r < len(runs); r++ {
+		run := idx[runs[r-1]:runs[r]]
+		snrVal := group[run[0]].SNR
+		m, ok := a.seen[snrVal]
 		if !ok {
 			m = make(map[int]bool)
-			a.seen[s.SNR] = m
+			a.seen[snrVal] = m
 		}
-		m[s.Popt] = true
+		var bits uint64
+		for _, i := range run {
+			if p := group[i].Popt; uint(p) < 64 {
+				bits |= 1 << p
+			} else {
+				m[p] = true
+			}
+		}
+		for p := 0; bits != 0; p, bits = p+1, bits>>1 {
+			if bits&1 != 0 {
+				m[p] = true
+			}
+		}
 	}
 }
 
@@ -887,9 +1018,10 @@ type StrategyAccum struct {
 	numRates, maxX int
 	results        []StrategyResult
 
-	// Per-chunk scratch: the link grouping and one link's dense
-	// SNR-indexed tables, reused across links and chunks.
-	ord    chunkOrder
+	// Per-link scratch, reused across links and chunks: a time-ordered
+	// copy of a link's indices when the chunk has them out of order, and
+	// the link's dense SNR-indexed tables.
+	seq    []int32
 	pred   []int32 // per SNR offset: the rate the table predicts, -1 = no data
 	counts []int32 // per (SNR offset, rate): Subsampled/All training counts
 }
@@ -915,24 +1047,22 @@ func NewStrategyAccum(numRates, maxX int) *StrategyAccum {
 // chunks, so every link's online table runs its full sequence here. Links
 // replay in (From, To) order; every reported field is an integer sum over
 // links, so the order does not matter.
-func (a *StrategyAccum) ObserveGroup(group []Sample) {
-	_ = ForEachSampleGroup(group, func(net []Sample) error {
-		idx := a.ord.sort(net, Link, false)
-		for start := 0; start < len(idx); {
-			end := runEnd(net, idx, start, Link, false)
-			a.replayLink(net, idx[start:end])
-			start = end
-		}
-		return nil
-	})
+func (a *StrategyAccum) ObserveGroup(v *GroupView) {
+	idx, runs := v.cells(Link, false)
+	for r := 1; r < len(runs); r++ {
+		a.replayLink(v.samples, idx[runs[r-1]:runs[r]])
+	}
 }
 
 // replayLink replays one link, given as indices into group in chunk
-// order, through every strategy.
+// order, through every strategy. seq belongs to the view, so it is only
+// read.
 func (a *StrategyAccum) replayLink(group []Sample, seq []int32) {
 	// Time order; the sort is stable, so equal times keep chunk order.
 	for j := 1; j < len(seq); j++ {
 		if group[seq[j]].T < group[seq[j-1]].T {
+			a.seq = append(a.seq[:0], seq...)
+			seq = a.seq
 			slices.SortStableFunc(seq, func(x, y int32) int { return cmp.Compare(group[x].T, group[y].T) })
 			break
 		}
@@ -1027,7 +1157,6 @@ type TopKAccum struct {
 	hits, evaluated []int
 
 	// Per-chunk scratch.
-	ord   chunkOrder
 	rate  []int32 // one cell's per-rate training counts
 	ranks []int   // samples per rank of their optimal rate in their cell
 }
@@ -1059,8 +1188,8 @@ func normalizeKs(ks []int) []int {
 // more training hits, or as many at a lower index (Table.TopK's order).
 // So the chunk only counts samples per rank and folds the counts into
 // every k at once.
-func (a *TopKAccum) ObserveGroup(group []Sample) {
-	if len(group) == 0 || a.numRates == 0 {
+func (a *TopKAccum) ObserveGroup(v *GroupView) {
+	if v.Len() == 0 || a.numRates == 0 {
 		return
 	}
 	if len(a.rate) != a.numRates {
@@ -1068,35 +1197,31 @@ func (a *TopKAccum) ObserveGroup(group []Sample) {
 		a.ranks = make([]int, a.numRates)
 	}
 	clear(a.ranks)
-	_ = ForEachSampleGroup(group, func(net []Sample) error {
-		idx := a.ord.sort(net, Link, true)
-		for start := 0; start < len(idx); {
-			end := runEnd(net, idx, start, Link, true)
-			clear(a.rate)
-			for _, i := range idx[start:end] {
-				a.rate[net[i].Popt]++
-			}
-			for p, n := range a.rate {
-				if n == 0 {
-					continue
-				}
-				rank := 0
-				for r, m := range a.rate {
-					if m > n || m == n && r < p {
-						rank++
-					}
-				}
-				a.ranks[rank] += int(n)
-			}
-			start = end
+	group := v.samples
+	idx, runs := v.cells(Link, true)
+	for r := 1; r < len(runs); r++ {
+		clear(a.rate)
+		for _, i := range idx[runs[r-1]:runs[r]] {
+			a.rate[group[i].Popt]++
 		}
-		return nil
-	})
+		for p, n := range a.rate {
+			if n == 0 {
+				continue
+			}
+			rank := 0
+			for r, m := range a.rate {
+				if m > n || m == n && r < p {
+					rank++
+				}
+			}
+			a.ranks[rank] += int(n)
+		}
+	}
 	for ki, k := range a.ks {
 		for _, n := range a.ranks[:min(k, a.numRates)] {
 			a.hits[ki] += n
 		}
-		a.evaluated[ki] += len(group)
+		a.evaluated[ki] += v.Len()
 	}
 }
 

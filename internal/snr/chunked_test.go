@@ -11,12 +11,12 @@ import (
 )
 
 // feedGroups pushes samples through fn one per-network group at a time.
-func feedGroups(t testing.TB, samples []Sample, fn func(group []Sample)) {
+func feedGroups(t testing.TB, samples []Sample, fn func(v *GroupView)) {
 	t.Helper()
 	groups := 0
 	if err := ForEachSampleGroup(samples, func(g []Sample) error {
 		groups++
-		fn(g)
+		fn(NewGroupView(g))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func BenchmarkPenaltyChunked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc := NewPenaltyAccum(7, Scopes)
 		_ = ForEachSampleGroup(samples, func(g []Sample) error {
-			acc.ObserveGroup(g)
+			acc.ObserveGroup(NewGroupView(g))
 			return nil
 		})
 		_ = acc.FinalizeDists()
@@ -253,7 +253,7 @@ func BenchmarkPenaltyChunked(b *testing.B) {
 // the wire layer's huge-group delivery shape (a network split into many
 // chunks, links never split). maxRows is a soft bound — a chunk extends
 // past it to the next link boundary.
-func feedLinkChunks(t testing.TB, samples []Sample, maxRows int, fn func(group []Sample)) {
+func feedLinkChunks(t testing.TB, samples []Sample, maxRows int, fn func(v *GroupView)) {
 	t.Helper()
 	chunks, multiNet := 0, false
 	netChunks := map[string]int{}
@@ -261,14 +261,14 @@ func feedLinkChunks(t testing.TB, samples []Sample, maxRows int, fn func(group [
 		start := 0
 		for i := 1; i <= len(g); i++ {
 			if i == len(g) {
-				fn(g[start:i])
+				fn(NewGroupView(g[start:i]))
 				chunks++
 				netChunks[g[0].Net]++
 				break
 			}
 			boundary := g[i].From != g[i-1].From || g[i].To != g[i-1].To
 			if i-start >= maxRows && boundary {
-				fn(g[start:i])
+				fn(NewGroupView(g[start:i]))
 				chunks++
 				netChunks[g[0].Net]++
 				start = i

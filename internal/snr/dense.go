@@ -1,17 +1,17 @@
 package snr
 
-// dense.go holds the two building blocks that keep the chunked §4 cores'
-// per-sample loops free of maps, strings, comparison sorts and
-// allocations:
+// dense.go holds the two building blocks beneath the chunked §4 cores'
+// value histograms and instance orders:
 //
 //   - countTable, an open-addressed float64→count table that backs every
-//     quantized value histogram (diffHist) and the AP scope's penalty
-//     dictionary. The cores add to it once per (sample, rate), where Go's
-//     generic map hashing used to dominate the run.
+//     value histogram (diffHist): the form the cores' tables are read,
+//     merged and snapshotted in, and the counter for values off the
+//     quantization grid (quant.go counts the on-grid ones by level and
+//     spills them here).
 //   - chunkOrder, a stable counting sort that groups one network's samples
-//     by table instance (and optionally SNR), so a core walks each link or
-//     training cell as one contiguous run of indices and numbers its
-//     cells densely instead of keying a map per sample.
+//     by table instance (and optionally SNR). GroupView (view.go) sorts
+//     each group's SNR order with it once, derives the other instance
+//     orders from dense link and AP ids, and is refereed against it.
 
 import (
 	"cmp"
@@ -227,32 +227,6 @@ func (o *chunkOrder) pass(group []Sample, f sampleField) {
 		o.count[k]++
 	}
 	o.idx, o.tmp = o.tmp, o.idx
-}
-
-// runEnd returns the end of the run that starts at idx[start]: the
-// samples sharing its scope instance and, when bySNR, its SNR.
-func runEnd(group []Sample, idx []int32, start int, scope Scope, bySNR bool) int {
-	s0 := &group[idx[start]]
-	end := start + 1
-	for ; end < len(idx); end++ {
-		s := &group[idx[end]]
-		if bySNR && s.SNR != s0.SNR || !scope.sameInst(s, s0) {
-			break
-		}
-	}
-	return end
-}
-
-// sameInst reports whether two samples of one network train the same
-// table instance under the scope.
-func (s Scope) sameInst(a, b *Sample) bool {
-	switch s {
-	case Link:
-		return a.From == b.From && a.To == b.To
-	case AP:
-		return a.From == b.From
-	}
-	return true
 }
 
 // resize32 returns s with length n, reallocating only when it must grow.

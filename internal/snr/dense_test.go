@@ -115,3 +115,29 @@ func TestChunkOrderGroupsStably(t *testing.T) {
 		}
 	}
 }
+
+// runEnd returns the end of the run that starts at idx[start]: the
+// samples sharing its scope instance and, when bySNR, its SNR.
+func runEnd(group []Sample, idx []int32, start int, scope Scope, bySNR bool) int {
+	s0 := &group[idx[start]]
+	end := start + 1
+	for ; end < len(idx); end++ {
+		s := &group[idx[end]]
+		if bySNR && s.SNR != s0.SNR || !scope.sameInst(s, s0) {
+			break
+		}
+	}
+	return end
+}
+
+// sameInst reports whether two samples of one network train the same
+// table instance under the scope.
+func (s Scope) sameInst(a, b *Sample) bool {
+	switch s {
+	case Link:
+		return a.From == b.From && a.To == b.To
+	case AP:
+		return a.From == b.From
+	}
+	return true
+}

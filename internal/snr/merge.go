@@ -78,6 +78,7 @@ func (a *PenaltyAccum) Merge(o *PenaltyAccum) {
 				for ri, n := range ocell.counts {
 					cell.counts[ri] += n
 				}
+				ocell.fold(ost.diffs.grid)
 				for p := range ocell.pend {
 					cell.pend[p].merge(&ocell.pend[p])
 				}
@@ -92,7 +93,8 @@ func (a *PenaltyAccum) Merge(o *PenaltyAccum) {
 				st.curNet, st.netSeen = ost.curNet, true
 			}
 		}
-		st.diffs.merge(&ost.diffs)
+		ost.diffs.flush()
+		st.diffs.merge(&ost.diffs.diffHist)
 		st.exact += ost.exact
 	}
 }
@@ -161,10 +163,14 @@ func (a *CoverageAccum) Merge(o *CoverageAccum) {
 // must share numRates and minObs. The histogram rows are
 // order-independent, so any shard split works.
 func (a *TputAccum) Merge(o *TputAccum) {
+	o.flushLevels()
 	for snrVal, orow := range o.rows {
 		row := a.rows[snrVal]
 		if row == nil {
 			row = &tputRow{cells: make([]diffHist, a.numRates)}
+			if a.grid != nil {
+				row.levels = make([]int64, a.numRates*levels)
+			}
 			a.rows[snrVal] = row
 			if len(a.rows) == 1 || snrVal < a.minSNR {
 				a.minSNR = snrVal

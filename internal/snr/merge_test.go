@@ -117,7 +117,7 @@ func TestPenaltyAccumMerge(t *testing.T) {
 		shards := splitShards(t, samples, k)
 		merged := mergeShards(shards,
 			func() *PenaltyAccum { return NewPenaltyAccum(7, Scopes) },
-			func(a *PenaltyAccum, g []Sample) { a.ObserveGroup(g) },
+			func(a *PenaltyAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 			func(dst, src *PenaltyAccum) { dst.Merge(src) })
 		if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: merged penalty diverges from whole run", k)
@@ -156,7 +156,7 @@ func TestCoverageAccumMerge(t *testing.T) {
 			for _, k := range []int{1, 2, 4} {
 				merged := mergeShards(splitShards(t, samples, k),
 					func() *CoverageAccum { return NewCoverageAccum(7, sc, minObs) },
-					func(a *CoverageAccum, g []Sample) { a.ObserveGroup(g) },
+					func(a *CoverageAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 					func(dst, src *CoverageAccum) { dst.Merge(src) })
 				if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v/minObs=%d/k=%d: merged coverage diverges", sc, minObs, k)
@@ -179,7 +179,7 @@ func TestTputAccumMerge(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		merged := mergeShards(splitShards(t, samples, k),
 			func() *TputAccum { return NewTputAccum(7, 25) },
-			func(a *TputAccum, g []Sample) { a.ObserveGroup(g) },
+			func(a *TputAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 			func(dst, src *TputAccum) { dst.Merge(src) })
 		if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: merged throughput-vs-SNR diverges", k)
@@ -198,7 +198,7 @@ func TestRateSetAccumMerge(t *testing.T) {
 	want := OptimalRateSets(samples)
 	merged := mergeShards(splitShards(t, samples, 3),
 		func() *RateSetAccum { return NewRateSetAccum() },
-		func(a *RateSetAccum, g []Sample) { a.ObserveGroup(g) },
+		func(a *RateSetAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 		func(dst, src *RateSetAccum) { dst.Merge(src) })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged rate sets diverge from batch")
@@ -216,7 +216,7 @@ func TestStrategyAccumMerge(t *testing.T) {
 	want := ReplayStrategies(samples, 7, 35)
 	merged := mergeShards(splitShards(t, samples, 3),
 		func() *StrategyAccum { return NewStrategyAccum(7, 35) },
-		func(a *StrategyAccum, g []Sample) { a.ObserveGroup(g) },
+		func(a *StrategyAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 		func(dst, src *StrategyAccum) { dst.Merge(src) })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged strategy replay diverges from batch")
@@ -235,7 +235,7 @@ func TestTopKAccumMerge(t *testing.T) {
 	want := TopKCoverage(samples, 7, Link, ks)
 	merged := mergeShards(splitShards(t, samples, 4),
 		func() *TopKAccum { return NewTopKAccum(7, ks) },
-		func(a *TopKAccum, g []Sample) { a.ObserveGroup(g) },
+		func(a *TopKAccum, g []Sample) { a.ObserveGroup(NewGroupView(g)) },
 		func(dst, src *TopKAccum) { dst.Merge(src) })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged top-k coverage diverges from batch")

@@ -134,9 +134,13 @@ func (a *PenaltyAccum) Snapshot(w io.Writer) error {
 			a.finishNet(st)
 		}
 		bw.U8(uint8(st.scope))
-		writeHist(bw, &st.diffs)
+		st.diffs.flush()
+		writeHist(bw, &st.diffs.diffHist)
 		bw.I64(st.exact)
 		if st.scope == Global {
+			for _, cell := range st.cells {
+				cell.fold(st.diffs.grid)
+			}
 			writeCells(bw, a.numRates, st.cells)
 		}
 	}
@@ -167,8 +171,8 @@ func (a *PenaltyAccum) Restore(r io.Reader) error {
 		if sc := Scope(br.U8()); br.Err() == nil && sc != st.scope {
 			return fmt.Errorf("snr: penalty snapshot scope %v at slot %d, accumulator %v", sc, si, st.scope)
 		}
-		st.diffs = diffHist{}
-		readHist(br, &st.diffs)
+		st.diffs = levelHist{grid: st.diffs.grid}
+		readHist(br, &st.diffs.diffHist)
 		st.exact = br.I64()
 		if st.scope == Global {
 			cells := readCells(br, a.numRates)
@@ -348,6 +352,7 @@ func (a *CoverageAccum) Restore(r io.Reader) error {
 // Snapshot serializes the throughput-vs-SNR core's partial state (any
 // boundary — its histogram is order-independent).
 func (a *TputAccum) Snapshot(w io.Writer) error {
+	a.flushLevels()
 	bw := binio.NewWriter(w)
 	bw.U8(tputSnapV1)
 	bw.Int(a.numRates)
@@ -390,6 +395,9 @@ func (a *TputAccum) Restore(r io.Reader) error {
 	for i := 0; i < n; i++ {
 		s := br.Int()
 		row := &tputRow{n: br.I64(), cells: make([]diffHist, a.numRates)}
+		if a.grid != nil {
+			row.levels = make([]int64, a.numRates*levels)
+		}
 		for ri := 0; ri < a.numRates; ri++ {
 			readHist(br, &row.cells[ri])
 		}

@@ -12,7 +12,7 @@ import (
 // chunkCore is the shape every chunked §4 core shares; the snapshot
 // oracle drives them uniformly.
 type chunkCore interface {
-	ObserveGroup([]Sample)
+	ObserveGroup(*GroupView)
 	Snapshot(w io.Writer) error
 	Restore(r io.Reader) error
 }
@@ -92,14 +92,14 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			full := tc.fresh()
 			for _, g := range groups {
-				full.ObserveGroup(g)
+				full.ObserveGroup(NewGroupView(g))
 			}
 			want := tc.fin(full)
 
 			for _, mid := range splits {
 				orig := tc.fresh()
 				for _, g := range groups[:mid] {
-					orig.ObserveGroup(g)
+					orig.ObserveGroup(NewGroupView(g))
 				}
 				var buf bytes.Buffer
 				if err := orig.Snapshot(&buf); err != nil {
@@ -111,8 +111,8 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 					t.Fatalf("split %d: restore: %v", mid, err)
 				}
 				for _, g := range groups[mid:] {
-					orig.ObserveGroup(g)
-					restored.ObserveGroup(g)
+					orig.ObserveGroup(NewGroupView(g))
+					restored.ObserveGroup(NewGroupView(g))
 				}
 				if got := tc.fin(orig); !reflect.DeepEqual(got, want) {
 					t.Errorf("split %d: continued-after-snapshot run diverged from uninterrupted", mid)
@@ -133,7 +133,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := tc.fresh()
 			for _, g := range groups[:len(groups)/2] {
-				src.ObserveGroup(g)
+				src.ObserveGroup(NewGroupView(g))
 			}
 			var buf bytes.Buffer
 			if err := src.Snapshot(&buf); err != nil {
@@ -163,7 +163,7 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	groups := sampleGroups(t)
 	src := NewPenaltyAccum(7, Scopes)
 	for _, g := range groups[:2] {
-		src.ObserveGroup(g)
+		src.ObserveGroup(NewGroupView(g))
 	}
 	var buf bytes.Buffer
 	if err := src.Snapshot(&buf); err != nil {
@@ -210,10 +210,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 				c := tc.fresh()
 				for _, g := range groups[:mid] {
 					if subChunks && len(g) > 16 {
-						c.ObserveGroup(g[:linkBoundary(g, len(g)/2)])
-						c.ObserveGroup(g[linkBoundary(g, len(g)/2):])
+						c.ObserveGroup(NewGroupView(g[:linkBoundary(g, len(g)/2)]))
+						c.ObserveGroup(NewGroupView(g[linkBoundary(g, len(g)/2):]))
 					} else {
-						c.ObserveGroup(g)
+						c.ObserveGroup(NewGroupView(g))
 					}
 				}
 				var buf bytes.Buffer

@@ -383,7 +383,7 @@ func (t *Table) Coverage(minObs int) []CoverageRow {
 // RateSetAccum.
 func OptimalRateSets(samples []Sample) map[int][]int {
 	acc := NewRateSetAccum()
-	acc.ObserveGroup(samples)
+	acc.ObserveGroup(NewGroupView(samples))
 	return acc.Finalize()
 }
 
@@ -418,7 +418,7 @@ type PenaltyResult struct {
 func Penalty(samples []Sample, numRates int, scopes []Scope) []PenaltyResult {
 	acc := NewPenaltyAccum(numRates, scopes)
 	_ = ForEachSampleGroup(samples, func(group []Sample) error {
-		acc.ObserveGroup(group)
+		acc.ObserveGroup(NewGroupView(group))
 		return nil
 	})
 	return acc.Finalize()

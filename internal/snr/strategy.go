@@ -85,7 +85,7 @@ func (r *StrategyResult) OverallAccuracy() float64 {
 func ReplayStrategies(samples []Sample, numRates, maxX int) []StrategyResult {
 	acc := NewStrategyAccum(numRates, maxX)
 	_ = ForEachSampleGroup(samples, func(group []Sample) error {
-		acc.ObserveGroup(group)
+		acc.ObserveGroup(NewGroupView(group))
 		return nil
 	})
 	return acc.Finalize()

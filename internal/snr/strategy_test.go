@@ -316,7 +316,7 @@ func (ls *linkState) bump(snr, popt, numRates int) {
 func networkChunks(t testing.TB, samples []Sample) [][]Sample {
 	t.Helper()
 	var chunks [][]Sample
-	feedGroups(t, samples, func(g []Sample) { chunks = append(chunks, g) })
+	feedGroups(t, samples, func(v *GroupView) { chunks = append(chunks, v.Samples()) })
 	return chunks
 }
 
@@ -347,7 +347,7 @@ func TestStrategyAccumMatchesReference(t *testing.T) {
 			want := referenceStrategies(chunks, 7, maxX)
 			acc := NewStrategyAccum(7, maxX)
 			for _, c := range chunks {
-				acc.ObserveGroup(c)
+				acc.ObserveGroup(NewGroupView(c))
 			}
 			if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("maxX=%d seed=%d: dense replay diverges from the map-based reference\n got %+v\nwant %+v", maxX, seed, got, want)
@@ -363,7 +363,7 @@ func BenchmarkStrategyAccum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc := NewStrategyAccum(7, 35)
 		_ = ForEachSampleGroup(samples, func(g []Sample) error {
-			acc.ObserveGroup(g)
+			acc.ObserveGroup(NewGroupView(g))
 			return nil
 		})
 		_ = acc.Finalize()

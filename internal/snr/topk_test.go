@@ -125,13 +125,13 @@ func TestTopKAccumMatchesTableTopK(t *testing.T) {
 		"shuffled": shuffledChunks(t, samples, 3),
 	}
 	var sub [][]Sample
-	feedLinkChunks(t, samples, 16, func(g []Sample) { sub = append(sub, g) })
+	feedLinkChunks(t, samples, 16, func(v *GroupView) { sub = append(sub, v.Samples()) })
 	feeds["sub-chunks"] = sub
 	for name, chunks := range feeds {
 		want := referenceTopK(chunks, 7, ks)
 		acc := NewTopKAccum(7, ks)
 		for _, c := range chunks {
-			acc.ObserveGroup(c)
+			acc.ObserveGroup(NewGroupView(c))
 		}
 		if got := acc.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: dense top-k diverges from Table.TopK\n got %+v\nwant %+v", name, got, want)
@@ -174,7 +174,7 @@ func BenchmarkTopKAccum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc := NewTopKAccum(7, ks)
 		_ = ForEachSampleGroup(samples, func(g []Sample) error {
-			acc.ObserveGroup(g)
+			acc.ObserveGroup(NewGroupView(g))
 			return nil
 		})
 		_ = acc.Finalize()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // ErrEmpty is returned by operations that are undefined on empty samples.
@@ -152,8 +153,89 @@ func NewCDF(xs []float64) *CDF {
 // NewCDFInPlace is NewCDF without the copy: it sorts xs in place and the
 // CDF aliases it, for a caller that has no further use for xs's order.
 func NewCDFInPlace(xs []float64) *CDF {
-	sort.Float64s(xs)
+	SortFloat64s(xs)
 	return &CDF{sorted: xs}
+}
+
+// radixMin is the length below which SortFloat64s defers to
+// sort.Float64s: the radix passes' fixed cost does not pay off there.
+const radixMin = 1 << 10
+
+// radixBits is the width of one radix digit; six digits cover 64 bits.
+const radixBits = 11
+
+// SortFloat64s sorts xs in place into the order sort.Float64s gives:
+// NaNs first, then ascending. −0 and +0 are equal in that order; here
+// every −0 precedes every +0. Large slices take an LSD radix sort on the
+// float64 bits, mapped so that unsigned order is numeric order, with one
+// scratch buffer as long as xs; small ones take sort.Float64s.
+func SortFloat64s(xs []float64) {
+	if len(xs) < radixMin {
+		sort.Float64s(xs)
+		return
+	}
+	nan := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nan] = xs[nan], x
+			nan++
+		}
+	}
+	// The keys live in xs's own memory: a []uint64 view of the non-NaN
+	// tail, so no NaN payload ever passes through a float register.
+	rest := xs[nan:]
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(rest))), len(rest))
+	for i, b := range keys {
+		if b>>63 == 1 {
+			keys[i] = ^b // negative: larger magnitude sorts first
+		} else {
+			keys[i] = b | 1<<63
+		}
+	}
+	radixSortKeys(keys)
+	for i, k := range keys {
+		if k>>63 == 1 {
+			keys[i] = k &^ (1 << 63)
+		} else {
+			keys[i] = ^k
+		}
+	}
+}
+
+// radixSortKeys sorts keys ascending: one counting pass builds every
+// digit's histogram, and each digit whose values are not all equal
+// scatters the keys stably between keys and a scratch buffer.
+func radixSortKeys(keys []uint64) {
+	const digits = (64 + radixBits - 1) / radixBits
+	const mask = 1<<radixBits - 1
+	var counts [digits][1 << radixBits]int
+	for _, k := range keys {
+		for d := range digits {
+			counts[d][k>>(d*radixBits)&mask]++
+		}
+	}
+	src, dst := keys, make([]uint64, len(keys))
+	for d := range digits {
+		shift := d * radixBits
+		c := &counts[d]
+		if c[keys[0]>>shift&mask] == len(keys) {
+			continue // every key shares this digit
+		}
+		pos := 0
+		for b, n := range c {
+			c[b] = pos
+			pos += n
+		}
+		for _, k := range src {
+			b := k >> shift & mask
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // N returns the sample size.

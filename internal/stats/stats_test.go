@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -335,5 +336,101 @@ func TestQuartilesDoNotMutate(t *testing.T) {
 	Quartiles(xs)
 	if xs[0] != 5 || xs[4] != 3 {
 		t.Fatalf("Quartiles mutated its input: %v", xs)
+	}
+}
+
+// sameOrder reports whether two sorted slices hold the same sequence,
+// with NaN equal to NaN and −0 equal to +0.
+func sameOrder(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSortFloat64sMatchesSortFloat64s referees the radix sort against
+// sort.Float64s on inputs mixing NaNs (of both signs and several
+// payloads), ±Inf, −0 and +0, subnormals, huge magnitudes and repeated
+// values, at sizes on both sides of the radix threshold.
+func TestSortFloat64sMatchesSortFloat64s(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Float64frombits(0x7FF0000000000002),
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000FFFFFFFFFFFFF),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 2.5,
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, radixMin - 1, radixMin, radixMin + 1, 5000, 100000} {
+		for _, mix := range []string{"specials", "normals", "subnormals", "ties"} {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch mix {
+				case "specials":
+					xs[i] = specials[r.Intn(len(specials))]
+				case "normals":
+					xs[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+				case "subnormals":
+					xs[i] = math.Float64frombits(r.Uint64() & 0x800FFFFFFFFFFFFF)
+				case "ties":
+					xs[i] = float64(r.Intn(5)) * 0.25
+				}
+			}
+			want := append([]float64(nil), xs...)
+			sort.Float64s(want)
+			SortFloat64s(xs)
+			if !sameOrder(xs, want) {
+				t.Fatalf("n=%d %s: radix order differs from sort.Float64s", n, mix)
+			}
+			for i := 1; i < len(xs) && n >= radixMin; i++ {
+				if xs[i] == 0 && xs[i-1] == 0 && math.Signbit(xs[i]) && !math.Signbit(xs[i-1]) {
+					t.Fatalf("n=%d %s: +0 before −0 at %d", n, mix, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSortFloat64sKeepsNaNPayloads: NaNs move to the front with their
+// bits intact.
+func TestSortFloat64sKeepsNaNPayloads(t *testing.T) {
+	payload := math.Float64frombits(0x7FF0000000000123)
+	xs := make([]float64, 2*radixMin)
+	for i := range xs {
+		xs[i] = float64(len(xs) - i)
+	}
+	xs[100], xs[1500] = payload, payload
+	SortFloat64s(xs)
+	for i := 0; i < 2; i++ {
+		if math.Float64bits(xs[i]) != 0x7FF0000000000123 {
+			t.Fatalf("xs[%d] = %#x, want the NaN payload first", i, math.Float64bits(xs[i]))
+		}
+	}
+	if !sort.Float64sAreSorted(xs) {
+		t.Fatal("not sorted")
+	}
+}
+
+func BenchmarkSortFloat64s(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	src := make([]float64, 1<<21)
+	for i := range src {
+		src[i] = math.Abs(r.NormFloat64() * 3)
+	}
+	xs := make([]float64, len(src))
+	for _, sorter := range []struct {
+		name string
+		fn   func([]float64)
+	}{{"radix", SortFloat64s}, {"sort.Float64s", sort.Float64s}} {
+		b.Run(sorter.name, func(b *testing.B) {
+			for b.Loop() {
+				copy(xs, src)
+				sorter.fn(xs)
+			}
+		})
 	}
 }

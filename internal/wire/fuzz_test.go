@@ -19,13 +19,16 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"meshlab/internal/dataset"
 	"meshlab/internal/phy"
+	"meshlab/internal/snr"
 )
 
 // hugeSampleSection hand-assembles a minimal MLF2 file whose flat-sample
@@ -250,8 +253,32 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		truncatedMidGroup(tb),                   // cut inside a group's row bytes
 		truncatedAfterGroupHeader(tb),           // cut right after a valid group header
 		flippedGroupCount(tb),                   // flipped byte in a group's count prefix
+		offGridSamples(tb),                      // throughputs off the 1/20 loss grid
 	}
 	return seeds
+}
+
+// offGridSamples is a valid file whose flat-sample throughputs mostly
+// fall off the loss grid the §4 cores count densely: its losses are not
+// multiples of 1/20, so those values must take the value-keyed path.
+func offGridSamples(tb testing.TB) []byte {
+	f := fuzzFleet()
+	for _, nd := range f.Networks {
+		for _, l := range nd.Links {
+			for i := range l.Sets {
+				for j := range l.Sets[i].Obs {
+					if j%2 == 1 {
+						l.Sets[i].Obs[j].Loss = 0.123 * float32(j)
+					}
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := WriteWithSamples(&buf, f); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // contextualError fails the fuzz run when a decode error lacks the
@@ -375,6 +402,7 @@ func FuzzSampleGroups(f *testing.F) {
 				return 0, nil
 			}
 			groups := 0
+			bands := map[string][]snr.Sample{}
 			err = rd.SampleGroups(workers, func(g *SampleGroup) error {
 				for i := range g.Samples {
 					if g.Samples[i].Net != g.Net {
@@ -382,9 +410,15 @@ func FuzzSampleGroups(f *testing.F) {
 					}
 				}
 				groups++
+				bands[g.Band] = append(bands[g.Band], g.Samples...)
 				return nil
 			})
 			contextualError(t, err)
+			if err == nil {
+				for band, samples := range bands {
+					checkSec4Cores(t, band, samples)
+				}
+			}
 			return groups, err
 		}
 		serialGroups, serialErr := walk(1)
@@ -440,4 +474,72 @@ func TestSeedCorpusInSync(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSec4Cores referees the §4 cores' dense and value-keyed counters on
+// decoded samples, against paths that use neither and do not depend on
+// how the samples were grouped: the throughput quartiles against
+// snr.ThroughputVsSNR's sorted cells, and the Global-scope penalties
+// against a table trained on every sample and replayed through Lookup.
+func checkSec4Cores(t *testing.T, bandName string, samples []snr.Sample) {
+	band, err := phy.BandByName(bandName)
+	if err != nil || len(samples) == 0 {
+		return
+	}
+	nr := len(band.Rates)
+	v := snr.NewGroupView(samples)
+	tput := snr.NewTputAccum(nr, 1)
+	tput.ObserveGroup(v)
+	if got, want := tput.Finalize(), snr.ThroughputVsSNR(samples, nr, 1); !sameTputPoints(got, want) {
+		t.Fatalf("%s: TputAccum %v, ThroughputVsSNR %v", bandName, got, want)
+	}
+	pen := snr.NewPenaltyAccum(nr, []snr.Scope{snr.Global})
+	pen.ObserveGroup(v)
+	got := pen.Finalize()[0]
+	table := snr.Train(samples, nr, snr.Global)
+	var want []float64
+	exact := 0
+	for i := range samples {
+		s := &samples[i]
+		p, _ := table.Lookup(s)
+		if p == s.Popt {
+			exact++
+		}
+		diff := s.BestTput - s.Tput[p]
+		if diff < 0 {
+			diff = 0
+		}
+		want = append(want, diff)
+	}
+	sort.Float64s(want)
+	if !sameFloats(got.Diffs, want) || got.ExactFrac != float64(exact)/float64(len(samples)) {
+		t.Fatalf("%s: Global penalties %v (exact %v), table replay %v (exact %d/%d)", bandName, got.Diffs, got.ExactFrac, want, exact, len(samples))
+	}
+}
+
+// sameFloats compares sorted float sequences, NaN equal to NaN.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameTputPoints(a, b []snr.TputPoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.RateIdx != y.RateIdx || x.SNR != y.SNR || x.N != y.N ||
+			!sameFloats([]float64{x.Median, x.Q1, x.Q3}, []float64{y.Median, y.Q1, y.Q3}) {
+			return false
+		}
+	}
+	return true
 }
