@@ -9,7 +9,8 @@ import (
 // offGridSamples copies the fixture and moves a share of its throughputs
 // off the quantized grid: a value nudged by one ulp, a −0, a NaN at a
 // non-optimal rate, and a BestTput that is not its rate's level. The rest
-// stay on the grid, so one group mixes both counters.
+// stay on the grid, so one group mixes both counters; among them are
+// samples whose BestTput is level 0, whose penalties must clamp to 0.
 func offGridSamples(t testing.TB) []Sample {
 	t.Helper()
 	src := simulated(t)
@@ -26,6 +27,10 @@ func offGridSamples(t testing.TB) []Sample {
 			s.Tput[other] = math.NaN()
 		case 9:
 			s.BestTput = math.Nextafter(s.BestTput, 0)
+		case 10:
+			// On the grid, but below the other rates: every penalty
+			// clamps to 0 on the dense path too.
+			s.BestTput = 0
 		}
 		out[i] = s
 	}
