@@ -345,7 +345,7 @@ func (a *PenaltyAccum) ObserveGroup(v *GroupView) {
 // the fast local path at the boundary, a split network falls back to
 // banking.
 func (a *PenaltyAccum) observeBoundary(st *penaltyScopeState, v *GroupView) {
-	if net := v.Net(); !st.netSeen || net != st.curNet {
+	if net := v.net(); !st.netSeen || net != st.curNet {
 		a.finishNet(st)
 		st.curNet, st.netSeen = net, true
 		st.held = v
@@ -773,7 +773,7 @@ func (a *CoverageAccum) ObserveGroup(v *GroupView) {
 		// drives (kept separate because the flush actions differ); the
 		// sub-chunk oracles pin both against their batch forms, so a
 		// contract change that misses one of them fails loudly.
-		if net := v.Net(); !a.netSeen || net != a.curNet {
+		if net := v.net(); !a.netSeen || net != a.curNet {
 			a.finishNet()
 			a.curNet, a.netSeen = net, true
 			a.held = v

@@ -316,7 +316,7 @@ func (ls *linkState) bump(snr, popt, numRates int) {
 func networkChunks(t testing.TB, samples []Sample) [][]Sample {
 	t.Helper()
 	var chunks [][]Sample
-	feedGroups(t, samples, func(v *GroupView) { chunks = append(chunks, v.Samples()) })
+	feedGroups(t, samples, func(v *GroupView) { chunks = append(chunks, v.samples) })
 	return chunks
 }
 

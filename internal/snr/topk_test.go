@@ -125,7 +125,7 @@ func TestTopKAccumMatchesTableTopK(t *testing.T) {
 		"shuffled": shuffledChunks(t, samples, 3),
 	}
 	var sub [][]Sample
-	feedLinkChunks(t, samples, 16, func(v *GroupView) { sub = append(sub, v.Samples()) })
+	feedLinkChunks(t, samples, 16, func(v *GroupView) { sub = append(sub, v.samples) })
 	feeds["sub-chunks"] = sub
 	for name, chunks := range feeds {
 		want := referenceTopK(chunks, 7, ks)

@@ -90,14 +90,11 @@ func NewGroupView(group []Sample) *GroupView {
 	return v
 }
 
-// Samples returns the group's samples in chunk order.
-func (v *GroupView) Samples() []Sample { return v.samples }
-
 // Len returns the number of samples in the group.
 func (v *GroupView) Len() int { return len(v.samples) }
 
-// Net returns the name of the group's first network ("" when empty).
-func (v *GroupView) Net() string {
+// net returns the name of the group's first network ("" when empty).
+func (v *GroupView) net() string {
 	if len(v.samples) == 0 {
 		return ""
 	}
@@ -107,7 +104,7 @@ func (v *GroupView) Net() string {
 // cells returns the group's samples ordered by the scope's instance and,
 // when bySNR, by SNR within it, one network segment after another, plus
 // the start of each run sharing an instance (and SNR), closed by len(idx).
-// Indices are into Samples(). Both slices are shared and read-only. Each
+// Indices are into v.samples. Both slices are shared and read-only. Each
 // order equals chunkOrder.sort of every segment in turn.
 func (v *GroupView) cells(scope Scope, bySNR bool) (idx, runs []int32) {
 	k := keyOf(scope, bySNR)

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// viewCase is one (scope, bySNR) order a view caches.
+// viewKeys are the (scope, bySNR) orders the cores ask a view for.
 var viewKeys = []struct {
 	scope Scope
 	bySNR bool
@@ -53,7 +53,7 @@ func viewGroups(t *testing.T) map[string][]Sample {
 	n := 0
 	feedLinkChunks(t, samples, 16, func(v *GroupView) {
 		if n%7 == 0 {
-			groups[fmt.Sprintf("sub-chunk-%d", n)] = v.Samples()
+			groups[fmt.Sprintf("sub-chunk-%d", n)] = v.samples
 		}
 		n++
 	})
