@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"meshlab/internal/dataset"
 	"meshlab/internal/experiments"
@@ -275,7 +276,8 @@ func liveHeap() uint64 {
 // materialized fleet, and — for the chunked §4 path — by heap sample
 // against the materialized flat samples: a streamed run must leave far
 // less live than either, or the walk (or the sample-group plumbing) is
-// retaining what it claims to release.
+// retaining what it claims to release. A generator-fed run of the same
+// fleet must hold no more than the engine's window of networks.
 func TestStreamingDoesNotMaterializeFleet(t *testing.T) {
 	path := streamingDataset(t)
 
@@ -329,12 +331,62 @@ func TestStreamingDoesNotMaterializeFleet(t *testing.T) {
 		t.Fatalf("streamed run left %d bytes live, not less than the %d-byte materialized samples — is the chunked §4 path retaining sample groups?",
 			streamBytes, samplesBytes)
 	}
-	t.Logf("live heap: streamed suite %d KB vs materialized fleet %d KB vs materialized samples %d KB (window %d/%d networks, %d sample groups)",
-		streamBytes>>10, fleetBytes>>10, samplesBytes>>10, sum.MaxLiveNetworks, sum.Networks, sum.SampleGroups)
+
+	// A generator-fed run of the same fleet holds a window of networks,
+	// never the fleet: as each network enters the engine, at most the
+	// engine's window of earlier networks is still reachable.
+	src, err := generatorSource(QuickOptions(20100521))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldNetworks{}
+	feed := src.feed
+	src.feed = func(s sink) error { return feed(held.wrap(s)) }
+	genResults, genSum, err := analyze(src, StreamOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if genSum.Networks != sum.Networks || held.peak > 2+2 {
+		t.Fatalf("generator-fed run walked %d networks (want %d) and held up to %d of them at once; the window should be ≤ workers+2",
+			genSum.Networks, sum.Networks, held.peak)
+	}
+	for i := range results {
+		if genResults[i].Format() != results[i].Format() {
+			t.Fatalf("%s: the generator-fed run diverges from the streamed file", results[i].ID)
+		}
+	}
+	t.Logf("live heap: streamed suite %d KB vs materialized fleet %d KB vs materialized samples %d KB (window %d/%d networks, %d sample groups); generator-fed run held up to %d networks",
+		streamBytes>>10, fleetBytes>>10, samplesBytes>>10, sum.MaxLiveNetworks, sum.Networks, sum.SampleGroups, held.peak)
 	runtime.KeepAlive(results)
 	runtime.KeepAlive(fleet)
 	runtime.KeepAlive(samples)
 }
+
+// heldNetworks counts how many networks a run still holds: each time a
+// network enters the sink it wraps, a full collection runs and the
+// earlier networks still reachable are counted.
+type heldNetworks struct {
+	next sink
+	seen []weak.Pointer[dataset.NetworkData]
+	peak int
+}
+
+func (h *heldNetworks) wrap(s sink) sink { h.next = s; return h }
+
+func (h *heldNetworks) network(nd *dataset.NetworkData) error {
+	liveHeap()
+	live := 0
+	for _, p := range h.seen {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	h.peak = max(h.peak, live)
+	h.seen = append(h.seen, weak.Make(nd))
+	return h.next.network(nd)
+}
+
+func (h *heldNetworks) clients(cd *dataset.ClientData) error { return h.next.clients(cd) }
 
 // TestStreamingBenchFixture keeps the bench fixture honest: the dataset
 // the streaming benchmark walks must round-trip the bench fleet.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,9 +120,9 @@ func TestSec4StreamsSamples(t *testing.T) {
 	}
 }
 
-// TestSec4Errors: -sec4 refuses fleet-needing experiments and
-// non-streamable datasets with actionable messages instead of silently
-// regenerating.
+// TestSec4Errors: -sec4 refuses fleet-needing experiments and a missing
+// -data with actionable messages instead of silently regenerating, and
+// streams JSON lines like a binary file.
 func TestSec4Errors(t *testing.T) {
 	if err := run([]string{"-sec4"}, &strings.Builder{}); err == nil {
 		t.Fatal("-sec4 without -data should error")
@@ -140,13 +141,20 @@ func TestSec4Errors(t *testing.T) {
 		t.Fatalf("fleet experiment under -sec4: got %v", err)
 	}
 
+	// JSON lines streams too, flattening each network as it is read.
 	jsonl := filepath.Join(dir, "f.jsonl")
 	if err := meshlab.SaveFleet(jsonl, fleet); err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"-data", jsonl, "-sec4"}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "flat-samples") {
-		t.Fatalf("JSONL under -sec4 should point at meshgen -flat-samples, got %v", err)
+	var fromBin, fromJSON strings.Builder
+	if err := run([]string{"-data", bin, "-sec4"}, &fromBin); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-data", jsonl, "-sec4"}, &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	if fromJSON.String() != fromBin.String() {
+		t.Fatal("-sec4 over JSON lines diverges from the binary file")
 	}
 }
 
@@ -261,5 +269,35 @@ func TestScenarioUsageErrors(t *testing.T) {
 	err := run([]string{"-scenario", "galactic", "-exp", "fig3.1"}, &strings.Builder{})
 	if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), "no built-in named") {
 		t.Fatalf("unknown scenario: %v", err)
+	}
+}
+
+// TestResumeUnderAnotherSelection: checkpoints written under one -exp
+// selection resume that selection, and are a checkpoint mismatch (exit
+// 2) under another, never a silent fresh start.
+func TestResumeUnderAnotherSelection(t *testing.T) {
+	fleet, err := meshlab.GenerateFleet(meshlab.QuickOptions(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.bin")
+	if err := meshlab.SaveFleetWithSamples(path, fleet); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(dir, "ck")
+	var first, resumed strings.Builder
+	if err := run([]string{"-data", path, "-exp", "fig5.1", "-checkpoint", ck, "-checkpoint-every", "2"}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-data", path, "-exp", "fig5.1", "-checkpoint", ck, "-resume"}, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.String() != first.String() {
+		t.Fatal("resuming under the same selection changed the output")
+	}
+	err = run([]string{"-data", path, "-exp", "all", "-checkpoint", ck, "-resume"}, &strings.Builder{})
+	if !errors.Is(err, meshlab.ErrCheckpointMismatch) || exitCode(err) != 2 {
+		t.Fatalf("resume under -exp all: err %v, exit %d; want a checkpoint mismatch, exit 2", err, exitCode(err))
 	}
 }

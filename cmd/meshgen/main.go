@@ -21,20 +21,21 @@
 // it automatically). Synthesis fans out across -workers cores (0 = all);
 // the dataset is byte-identical at any worker count.
 //
-// Without -dataset, meshgen never holds the fleet: each network is
-// validated and encoded as it leaves the synthesis pipeline, in fleet
-// order, and the sample section spools beside the output until the last
-// network is written. Peak memory is the in-flight window — at most one
-// network per worker — not the fleet. Every output is written atomically
-// (temp file, fsync, rename; a device such as /dev/null is written in
-// place), so a failed run leaves any previous file at -out intact.
+// meshgen never holds the fleet: each network is validated and encoded
+// as it leaves the synthesis pipeline, in fleet order, and the sample
+// section spools beside the output until the last network is written.
+// Peak memory is the in-flight window — at most one network per worker
+// — not the fleet. Every output is written atomically (temp file, fsync,
+// rename; a device such as /dev/null is written in place), so a failed
+// run leaves any previous file at -out intact.
 //
-// With -dataset, the synthesized fleet is cached at the given path in the
-// binary format and later runs with a matching seed/config load it
-// instead of re-synthesizing; this path holds the fleet in memory. A
-// cache file that claims the binary format but whose header cannot be
-// decoded is corrupt input — reported with exit 3 rather than silently
-// clobbered by a fresh synthesis.
+// With -dataset, the dataset is cached at the given path in the binary
+// format, flat-sample section included. A later run with a matching
+// seed/config streams the cache into -out instead of re-synthesizing; a
+// miss synthesizes once, writing each network to both files. A cache
+// file that claims the binary format but whose header cannot be decoded
+// is corrupt input — reported with exit 3 rather than silently clobbered
+// by a fresh synthesis. See docs/FORMAT.md for the cache rules.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 corrupt
 // input, 4 transient-retry budget exhausted, 130 interrupted — the same
@@ -42,8 +43,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -56,7 +55,6 @@ import (
 	"meshlab/internal/conc"
 	"meshlab/internal/rusage"
 	"meshlab/internal/scenario"
-	"meshlab/internal/wire"
 )
 
 // usageError marks an error as the caller's invocation being wrong (bad
@@ -88,28 +86,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "meshgen: %v\n", err)
 		os.Exit(exitCode(err))
 	}
-}
-
-// probeCache classifies an existing -dataset file that claims the
-// binary format but whose header cannot be decoded: that is corrupt
-// input the user pointed us at, not a cache miss to overwrite. A
-// missing file, a JSON-lines file, or a too-short file stays on the
-// plain miss/regenerate path.
-func probeCache(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil // missing or unreadable: the regular cache-miss path
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil || (!bytes.Equal(head, wire.Magic[:]) && !bytes.Equal(head, wire.Magic2[:])) {
-		return nil
-	}
-	if _, err := wire.NewReader(br); err != nil {
-		return fmt.Errorf("dataset cache %s: %w", path, err)
-	}
-	return nil
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -192,46 +168,24 @@ func run(args []string, stdout io.Writer) error {
 	opts.SkipClients = opts.SkipClients || *noClients
 	opts.Workers = *workers
 
-	// The timing line covers synthesis or the cache load. Streamed
-	// synthesis writes as it goes, so there it covers the write too.
+	// The timing line covers synthesis or the cache load, each of which
+	// writes -out as it goes.
 	start := time.Now()
-	var dur time.Duration
 	var sum meshlab.DatasetSummary
-	cached := false
+	status := meshlab.CacheWritten
+	var err error
 	if *cache != "" {
-		if !opts.CacheValidatable() {
-			// The loader neither reads nor rewrites the file on this
-			// path, so there is nothing to protect: skip the corruption
-			// probe too.
+		sum, status, err = meshlab.GenerateDatasetCached(*out, opts, *flatSamp, *cache)
+		if status == meshlab.CacheBypassed {
 			fmt.Fprintf(stdout, "note: -dataset bypassed: these options cannot be validated against a cache file\n")
-		} else if err := probeCache(*cache); err != nil {
-			// Surface a corrupt cache file (exit 3) before the cache
-			// loader would silently treat it as a miss and overwrite it.
-			return err
 		}
-		fleet, hit, err := meshlab.LoadOrGenerateFleet(*cache, opts)
-		if err != nil {
-			return err
-		}
-		cached, dur = hit, time.Since(start)
-		if err := fleet.Validate(); err != nil {
-			return fmt.Errorf("generated fleet failed validation: %w", err)
-		}
-		save := meshlab.SaveFleet
-		if *flatSamp {
-			save = meshlab.SaveFleetWithSamples
-		}
-		if err := save(*out, fleet); err != nil {
-			return err
-		}
-		sum = meshlab.SummarizeFleet(fleet)
 	} else {
-		var err error
-		if sum, err = meshlab.GenerateDataset(*out, opts, *flatSamp); err != nil {
-			return err
-		}
-		dur = time.Since(start)
+		sum, err = meshlab.GenerateDataset(*out, opts, *flatSamp)
 	}
+	if err != nil {
+		return err
+	}
+	dur := time.Since(start)
 
 	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	fmt.Fprintf(stdout, "  seed             %d\n", sum.Meta.Seed)
@@ -239,7 +193,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  directed links   %d\n", sum.Links)
 	fmt.Fprintf(stdout, "  probe sets       %d\n", sum.ProbeSets)
 	fmt.Fprintf(stdout, "  clients          %d\n", sum.Clients)
-	if cached {
+	if status == meshlab.CacheHit {
 		fmt.Fprintf(stdout, "  loaded from cache %s in %v\n", *cache, dur.Round(time.Millisecond))
 	} else {
 		fmt.Fprintf(stdout, "  generated in     %v\n", dur.Round(time.Millisecond))

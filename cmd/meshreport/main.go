@@ -21,18 +21,21 @@
 // (-workers, default all cores; 1 schedules networks and experiments
 // serially, though some analysis kernels keep their internal
 // concurrency); the output is byte-identical at any pool size. With
-// -dataset, the first run writes the synthesized fleet to the given path
-// and later runs with the same seed/scale load it instead of
-// re-synthesizing (a mismatched or unreadable file is regenerated).
+// -dataset, the first run writes the synthesized dataset to the given
+// path and later runs with the same seed/scale stream it instead of
+// re-synthesizing (a mismatched or unreadable file is regenerated; one
+// whose binary header is corrupt is reported, exit 3).
 //
-// Every input runs through one engine, the streaming accumulator suite.
-// Binary datasets stream (meshlab.StreamFleet): networks are decoded,
-// analyzed, and released one bounded window at a time, so peak memory is
-// the derived data, not the fleet, and a cache's flat-sample section
-// feeds the §4 analysis so warm starts skip re-flattening probe data.
-// JSON-lines input, cache misses, and direct generation hand an
-// in-memory fleet to the same engine (meshlab.AnalyzeFleet). The report
-// is byte-identical on every path (see docs/FORMAT.md).
+// Every input streams through one engine, the streaming accumulator
+// suite: networks are decoded (or synthesized), analyzed, and released
+// one bounded window at a time, so peak memory is the derived data, not
+// the fleet. That holds for -data files in either format
+// (meshlab.StreamFleet), -dataset caches — a hit streams the cache, and
+// a miss synthesizes once, teeing each network into the new cache and
+// the engine (meshlab.StreamCached) — and direct generation
+// (meshlab.StreamGenerated). A binary file's flat-sample section feeds
+// the §4 analysis, so warm starts skip re-flattening probe data. The
+// report is byte-identical on every path (see docs/FORMAT.md).
 //
 // -shards N runs the suite as a fault-tolerant sharded stream over an
 // MLF2 -data file (or a directory of per-shard MLF2 files): transient
@@ -218,22 +221,30 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // obtainResults produces the full suite's results plus a dataset summary
-// and label for the report preamble. Binary datasets stream; JSON lines,
-// cache misses, and direct generation run the same engine over an
-// in-memory fleet. opts is the resolved generation identity (from
-// -scenario or -scale/-seed), ident its short label, and regen the
-// meshgen invocation that guidance messages quote. A non-nil sp makes a
-// -data walk double as identity validation: the file must be the
-// scenario's dataset, and a mismatch is an error, never a silent reuse.
-// The returned duration covers experiment execution only (for streaming,
-// the walk is the execution).
+// and label for the report preamble. Every input streams through the
+// one engine: a -data file, a -dataset cache (or the synthesis that
+// rewrites it on a miss), or a fresh synthesis. opts is the resolved
+// generation identity (from -scenario or -scale/-seed), ident its short
+// label, and regen the meshgen invocation that guidance messages quote.
+// A non-nil sp makes a -data walk double as identity validation: the
+// file must be the scenario's dataset, and a mismatch is an error, never
+// a silent reuse. The returned duration covers the walk, which is the
+// experiment execution (and, for a synthesis, the synthesis too).
 func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, ident, regen string, workers int, sharded bool, so meshlab.ShardOptions) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
-	if data != "" {
-		if sharded {
-			return runSharded(data, so)
-		}
-		stream := meshlab.StreamOptions{Workers: workers}
-		label := fmt.Sprintf("%s (streamed)", data)
+	if data != "" && sharded {
+		return runSharded(data, so)
+	}
+	stream := meshlab.StreamOptions{Workers: workers}
+	start := time.Now()
+	var (
+		results []*meshlab.Result
+		sum     *meshlab.StreamSummary
+		label   string
+		err     error
+	)
+	switch {
+	case data != "":
+		label = fmt.Sprintf("%s (streamed)", data)
 		if sp != nil {
 			if opts.CacheValidatable() {
 				stream.Validate = &opts
@@ -242,53 +253,29 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 				label = fmt.Sprintf("%s (streamed; %s declares overrides a dataset cannot record, identity unvalidated)", data, ident)
 			}
 		}
-		start := time.Now()
-		results, sum, err := meshlab.StreamFleet(data, stream)
-		switch {
-		case err == nil:
-			return results, sum, label, time.Since(start), nil
-		case errors.Is(err, meshlab.ErrCacheMismatch):
-			return nil, nil, "", 0, fmt.Errorf(
-				"%s is not the %s dataset: %w\nregenerate it: `%s -flat-samples -out %s`", data, ident, err, regen, data)
-		case sp != nil, !errors.Is(err, meshlab.ErrNotStreamable):
-			// A scenario-validated walk never falls back to an
-			// unvalidated load.
-			return nil, nil, "", 0, err
+		results, sum, err = meshlab.StreamFleet(data, stream)
+		if errors.Is(err, meshlab.ErrCacheMismatch) {
+			err = fmt.Errorf("%s is not the %s dataset: %w\nregenerate it: `%s -flat-samples -out %s`", data, ident, err, regen, data)
 		}
-		f, err := meshlab.LoadFleet(data)
-		if err != nil {
-			return nil, nil, "", 0, err
-		}
-		return analyzeFleet(f, data)
-	}
-	if cache != "" {
-		if opts.CacheValidatable() {
-			start := time.Now()
-			results, sum, err := meshlab.StreamFleet(cache, meshlab.StreamOptions{Workers: workers, Validate: &opts})
-			if err == nil {
-				return results, sum, fmt.Sprintf("%s (cache hit, synthesis skipped; streamed)", cache), time.Since(start), nil
-			}
-			// Any failure — missing file, mismatch, corruption — falls back
-			// to the load-or-generate path, which regenerates.
-		}
-		f, hit, err := meshlab.LoadOrGenerateFleet(cache, opts)
-		if err != nil {
-			return nil, nil, "", 0, err
-		}
-		switch {
-		case hit:
-			return analyzeFleet(f, fmt.Sprintf("%s (cache hit, synthesis skipped)", cache))
-		case !opts.CacheValidatable():
-			return analyzeFleet(f, fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident))
+	case cache != "":
+		var status meshlab.CacheStatus
+		results, sum, status, err = meshlab.StreamCached(cache, opts, stream)
+		switch status {
+		case meshlab.CacheHit:
+			label = fmt.Sprintf("%s (cache hit, synthesis skipped; streamed)", cache)
+		case meshlab.CacheWritten:
+			label = fmt.Sprintf("%s (cache written: %s)", cache, ident)
 		default:
-			return analyzeFleet(f, fmt.Sprintf("%s (cache written: %s)", cache, ident))
+			label = fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident)
 		}
+	default:
+		results, sum, err = meshlab.StreamGenerated(opts, stream)
+		label = fmt.Sprintf("generated in-memory (%s)", ident)
 	}
-	f, err := meshlab.GenerateFleet(opts)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	return analyzeFleet(f, fmt.Sprintf("generated in-memory (%s)", ident))
+	return results, sum, label, time.Since(start), nil
 }
 
 // runSharded runs the suite as a fault-tolerant sharded stream. The
@@ -314,22 +301,4 @@ func runSharded(data string, so meshlab.ShardOptions) ([]*meshlab.Result, *meshl
 			len(res.Manifest.Skipped), res.Networks+len(res.Manifest.Skipped))
 	}
 	return res.Results, sum, label, time.Since(start), nil
-}
-
-// analyzeFleet runs the suite over an in-memory fleet and summarizes the
-// fleet for the report preamble.
-func analyzeFleet(f *meshlab.Fleet, label string) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
-	start := time.Now()
-	results, err := meshlab.AnalyzeFleet(f)
-	if err != nil {
-		return nil, nil, "", 0, err
-	}
-	sum := &meshlab.StreamSummary{
-		Meta:       f.Meta,
-		Networks:   len(f.Networks),
-		NetworksBG: len(f.ByBand("bg")),
-		NetworksN:  len(f.ByBand("n")),
-		ProbeSets:  f.NumProbeSets(),
-	}
-	return results, sum, label, time.Since(start), nil
 }

@@ -11,7 +11,9 @@
 //     window, at effectively 5-minute reporting granularity (§3.2).
 //
 // The on-disk format is JSON lines: a meta record, then one record per
-// network, per directed link, and per network's client log. JSON keeps the
+// network, each followed by one per directed link, then one per
+// network's client log (Encoder writes that order and Decoder requires
+// it). JSON keeps the
 // format inspectable; the records use short field names and compact value
 // types because fleets contain millions of probe sets.
 package dataset
@@ -171,21 +173,6 @@ func (f *Fleet) NumProbeSets() int {
 	return total
 }
 
-// EachProbeSet calls fn for every probe set of every network on the given
-// band ("" means all bands).
-func (f *Fleet) EachProbeSet(band string, fn func(n *NetworkData, l *Link, ps *ProbeSet)) {
-	for _, n := range f.Networks {
-		if band != "" && n.Info.Band != band {
-			continue
-		}
-		for _, l := range n.Links {
-			for i := range l.Sets {
-				fn(n, l, &l.Sets[i])
-			}
-		}
-	}
-}
-
 // record is the JSON-lines envelope.
 type record struct {
 	Kind string `json:"kind"`
@@ -276,63 +263,161 @@ func (e *Encoder) Close() error {
 	return e.err
 }
 
-// Read parses a fleet from the JSON-lines format produced by Write.
+// Read parses a fleet from the JSON-lines format produced by Write,
+// through a Decoder.
 func Read(r io.Reader) (*Fleet, error) {
-	f := &Fleet{}
-	nets := make(map[string]*NetworkData) // keyed by name+band
-	key := func(name, band string) string { return name + "/" + band }
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	sawMeta := false
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		switch rec.Kind {
-		case "meta":
-			if rec.Meta == nil {
-				return nil, fmt.Errorf("dataset: line %d: meta record without meta", line)
-			}
-			f.Meta = *rec.Meta
-			sawMeta = true
-		case "network":
-			if rec.Info == nil {
-				return nil, fmt.Errorf("dataset: line %d: network record without info", line)
-			}
-			nd := &NetworkData{Info: *rec.Info}
-			nets[key(nd.Info.Name, nd.Info.Band)] = nd
-			f.Networks = append(f.Networks, nd)
-		case "link":
-			nd, ok := nets[key(rec.Net, rec.Band)]
-			if !ok {
-				return nil, fmt.Errorf("dataset: line %d: link for unknown network %s/%s", line, rec.Net, rec.Band)
-			}
-			if rec.Link == nil {
-				return nil, fmt.Errorf("dataset: line %d: link record without link", line)
-			}
-			nd.Links = append(nd.Links, rec.Link)
-		case "clients":
-			if rec.Clients == nil {
-				return nil, fmt.Errorf("dataset: line %d: clients record without clients", line)
-			}
-			f.Clients = append(f.Clients, rec.Clients)
-		default:
-			return nil, fmt.Errorf("dataset: line %d: unknown record kind %q", line, rec.Kind)
-		}
+	d, err := NewDecoder(r)
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
+	f := &Fleet{Meta: d.Meta()}
+	for {
+		n, err := d.Network()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		f.Networks = append(f.Networks, n)
 	}
-	if !sawMeta {
-		return nil, errors.New("dataset: missing meta record")
+	if f.Clients, err = d.Clients(); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// Decoder reads the JSON-lines format one network at a time, in the
+// order Encoder writes it: the meta record first, then each network's
+// record followed by its link records, then the client records. It
+// holds one network and the client logs, never the fleet's probe data.
+// Every error names the offending line.
+type Decoder struct {
+	sc   *bufio.Scanner
+	line int
+	meta Meta
+	// next is a record read ahead of the network that precedes it: the
+	// first record after a network's links.
+	next *record
+}
+
+// NewDecoder starts reading a JSON-lines dataset from r and consumes its
+// meta record.
+func NewDecoder(r io.Reader) (*Decoder, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	d := &Decoder{sc: sc}
+	rec, err := d.read()
+	if err != nil {
+		return nil, err
+	}
+	if rec == nil {
+		return nil, fmt.Errorf("%w: missing meta record", ErrMalformed)
+	}
+	if rec.Kind != "meta" {
+		return nil, d.errorf("%s record before the meta record", rec.Kind)
+	}
+	d.meta = *rec.Meta
+	return d, nil
+}
+
+// Meta returns the dataset's meta record.
+func (d *Decoder) Meta() Meta { return d.meta }
+
+// read returns the next non-blank record, checked for its payload, or
+// nil at the end of the input.
+func (d *Decoder) read() (*record, error) {
+	if rec := d.next; rec != nil {
+		d.next = nil
+		return rec, nil
+	}
+	for d.sc.Scan() {
+		d.line++
+		if len(d.sc.Bytes()) == 0 {
+			continue
+		}
+		rec := &record{}
+		if err := json.Unmarshal(d.sc.Bytes(), rec); err != nil {
+			return nil, d.errorf("%w", err)
+		}
+		has, known := map[string]bool{"meta": rec.Meta != nil, "network": rec.Info != nil,
+			"link": rec.Link != nil, "clients": rec.Clients != nil}[rec.Kind]
+		if !known {
+			return nil, d.errorf("unknown record kind %q", rec.Kind)
+		}
+		if !has {
+			return nil, d.errorf("%s record without its payload", rec.Kind)
+		}
+		return rec, nil
+	}
+	if err := d.sc.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: scan: %w", err)
+	}
+	return nil, nil
+}
+
+// ErrMalformed marks JSON-lines input that is not a dataset: a record
+// that does not parse, lacks its payload, or breaks the record order.
+var ErrMalformed = errors.New("dataset: malformed input")
+
+// errorf builds a line-numbered error wrapping ErrMalformed.
+func (d *Decoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("%w: line %d: "+format, append([]any{ErrMalformed, d.line}, args...)...)
+}
+
+// Network returns the next network with its links, in file order. It
+// returns io.EOF once the networks are done: at the first client record
+// or the end of the input.
+func (d *Decoder) Network() (*NetworkData, error) {
+	rec, err := d.read()
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case rec == nil:
+		return nil, io.EOF
+	case rec.Kind == "clients":
+		d.next = rec
+		return nil, io.EOF
+	case rec.Kind == "link":
+		return nil, d.errorf("link for unknown network %s/%s", rec.Net, rec.Band)
+	case rec.Kind != "network":
+		return nil, d.errorf("duplicate %s record", rec.Kind)
+	}
+	n := &NetworkData{Info: *rec.Info}
+	for {
+		rec, err := d.read()
+		if err != nil {
+			return nil, err
+		}
+		if rec == nil || rec.Kind != "link" {
+			d.next = rec
+			return n, nil
+		}
+		if rec.Net != n.Info.Name || rec.Band != n.Info.Band {
+			return nil, d.errorf("link for network %s/%s inside network %s/%s", rec.Net, rec.Band, n.Info.Name, n.Info.Band)
+		}
+		n.Links = append(n.Links, rec.Link)
+	}
+}
+
+// Clients returns the client logs that follow the networks. It must be
+// called after Network has returned io.EOF.
+func (d *Decoder) Clients() ([]*ClientData, error) {
+	var out []*ClientData
+	for {
+		rec, err := d.read()
+		if err != nil {
+			return nil, err
+		}
+		if rec == nil {
+			return out, nil
+		}
+		if rec.Kind != "clients" {
+			return nil, d.errorf("%s record after the client records", rec.Kind)
+		}
+		out = append(out, rec.Clients)
+	}
 }
 
 // Validate checks structural invariants: known bands, in-range AP and rate

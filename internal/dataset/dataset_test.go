@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,6 +99,70 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestDecoderRoundTrip: a Decoder reads back what an Encoder wrote, one
+// network at a time, and agrees with Read, which loops over it.
+func TestDecoderRoundTrip(t *testing.T) {
+	f := sampleFleet()
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &Fleet{Meta: d.Meta()}
+	for {
+		n, err := d.Network()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Networks = append(got.Networks, n)
+	}
+	if got.Clients, err = d.Clients(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Fatal("decoded fleet differs from the encoded one")
+	}
+	if !reflect.DeepEqual(read, got) {
+		t.Fatal("Read differs from the decoder loop")
+	}
+}
+
+// TestDecoderErrorsNameTheLine: each way a file breaks the record order
+// or drops a payload is an ErrMalformed error naming the line.
+func TestDecoderErrorsNameTheLine(t *testing.T) {
+	const (
+		meta  = `{"kind":"meta","meta":{}}`
+		netX  = `{"kind":"network","info":{"name":"x","band":"bg"}}`
+		netY  = `{"kind":"network","info":{"name":"y","band":"bg"}}`
+		linkX = `{"kind":"link","net":"x","band":"bg","link":{"f":0,"to":1}}`
+	)
+	cases := []struct {
+		name, in, want string
+	}{
+		{"meta not first", netX + "\n" + meta, "line 1: network record before the meta record"},
+		{"link outside its network", meta + "\n" + netX + "\n" + netY + "\n" + linkX, "line 4: link for network x/bg inside network y/bg"},
+		{"orphan link", meta + "\n\n" + linkX, "line 3: link for unknown network x/bg"},
+		{"link nil", meta + "\n" + netX + "\n" + `{"kind":"link","net":"x","band":"bg"}`, "line 3: link record without its payload"},
+		{"network after clients", meta + "\n" + `{"kind":"clients","clients":{}}` + "\n" + netX, "line 3: network record after the client records"},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(c.in))
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(fmt.Sprint(err), c.want) {
+			t.Errorf("%s: got %v, want ErrMalformed with %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestReadSkipsBlankLines(t *testing.T) {
 	in := `{"kind":"meta","meta":{"seed":1}}` + "\n\n"
 	f, err := Read(strings.NewReader(in))
@@ -154,21 +221,6 @@ func TestByBand(t *testing.T) {
 func TestNumProbeSets(t *testing.T) {
 	if got := sampleFleet().NumProbeSets(); got != 4 {
 		t.Fatalf("NumProbeSets = %d, want 4", got)
-	}
-}
-
-func TestEachProbeSet(t *testing.T) {
-	f := sampleFleet()
-	all, bg := 0, 0
-	f.EachProbeSet("", func(n *NetworkData, l *Link, ps *ProbeSet) { all++ })
-	f.EachProbeSet("bg", func(n *NetworkData, l *Link, ps *ProbeSet) {
-		bg++
-		if n.Info.Band != "bg" {
-			t.Fatal("band filter leaked")
-		}
-	})
-	if all != 4 || bg != 3 {
-		t.Fatalf("all=%d bg=%d", all, bg)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"meshlab/internal/dataset"
 	"meshlab/internal/stats"
+	"meshlab/internal/textplot"
 )
 
 func init() {
@@ -76,6 +77,7 @@ func (a *fig31Acc) finalize(*StreamContext) (*Result, error) {
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"median per-network SNR spread %.1f dB vs per-probe-set %.1f dB (networks hold diverse links)",
 		series[2].cdf.Quantile(0.5), series[0].cdf.Quantile(0.5)))
+	res.Plot = textplot.CDFOf(series[0].cdf, 60, 14, "intra-probe-set SNR std (dB)")
 	return res, nil
 }
 

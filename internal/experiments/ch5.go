@@ -9,6 +9,7 @@ import (
 	"meshlab/internal/phy"
 	"meshlab/internal/routing"
 	"meshlab/internal/stats"
+	"meshlab/internal/textplot"
 )
 
 func init() {
@@ -23,6 +24,9 @@ func init() {
 	register("fig5.5", "Opportunistic improvement vs network size (1 Mbit/s)",
 		func() accumulator { return &fig55Acc{} })
 }
+
+// plotRate is the b/g rate whose distributions fig5.1 and fig5.2 plot.
+var plotRate = phy.BandBG.RateIndex("1M")
 
 // routable reports whether a network belongs to §5's analyzed population:
 // b/g with at least five APs.
@@ -88,6 +92,9 @@ func (a *fig51Acc) finalize(*StreamContext) (*Result, error) {
 				continue
 			}
 			cdf := stats.NewCDF(imps)
+			if v == routing.ETX1 && ri == plotRate {
+				res.Plot = textplot.CDFOf(cdf, 60, 14, "ETX1 improvement @1M")
+			}
 			res.Rows = append(res.Rows, []string{
 				v.String(), rate.Name, itoa(len(imps)),
 				f2(float64(a.none[k]) / float64(len(imps))),
@@ -126,6 +133,10 @@ func (a *fig52Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"rate", "pairs", "p10", "median", "p90", "frac within ±25%"}}
 	for ri, rate := range phy.BandBG.Rates {
 		ratios := a.ratios[ri]
+		cdf := stats.NewCDF(ratios)
+		if ri == plotRate {
+			res.Plot = textplot.CDFOf(cdf, 60, 14, "fwd/rev delivery ratio @1M")
+		}
 		if len(ratios) == 0 {
 			continue
 		}
@@ -135,7 +146,6 @@ func (a *fig52Acc) finalize(*StreamContext) (*Result, error) {
 				within++
 			}
 		}
-		cdf := stats.NewCDF(ratios)
 		res.Rows = append(res.Rows, []string{
 			rate.Name, itoa(len(ratios)),
 			f2(cdf.Quantile(0.1)), f2(cdf.Quantile(0.5)), f2(cdf.Quantile(0.9)),

@@ -27,6 +27,10 @@ type Result struct {
 	Rows   [][]string
 	// Notes carries headline scalars and shape checks in prose.
 	Notes []string
+	// Plot is an ASCII rendering of the figure's primary CDF, for the
+	// figures where a terminal CDF is meaningful; empty otherwise. Format
+	// does not include it.
+	Plot string
 }
 
 // clone returns a deep copy of the result.

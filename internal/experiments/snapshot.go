@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"meshlab/internal/binio"
+	"meshlab/internal/checkpoint"
 	"meshlab/internal/hidden"
 	"meshlab/internal/routing"
 )
@@ -478,7 +479,8 @@ func (s *StreamContext) Snapshot(w io.Writer) error {
 // group) the snapshot had not fully observed. Corrupt or mismatched
 // snapshots error without partially mutating accumulator state in ways a
 // later walk could silently extend — callers must discard the context on
-// error.
+// error. A snapshot of a different experiment selection wraps
+// checkpoint.ErrMismatch: resuming it would blend two runs.
 func (s *StreamContext) Restore(r io.Reader) error {
 	if s.networks != 0 || s.drained || s.finalized || s.samplesDone {
 		return fmt.Errorf("experiments: Restore on a used context")
@@ -497,7 +499,7 @@ func (s *StreamContext) Restore(r io.Reader) error {
 		return fmt.Errorf("experiments: snapshot claims %d networks", networks)
 	}
 	if n != len(s.accs) {
-		return fmt.Errorf("experiments: snapshot has %d experiments, registry %d", n, len(s.accs))
+		return fmt.Errorf("experiments: %w: snapshot has %d experiments, run selects %d", checkpoint.ErrMismatch, n, len(s.accs))
 	}
 	for i, acc := range s.accs {
 		id := br.String()
@@ -505,7 +507,7 @@ func (s *StreamContext) Restore(r io.Reader) error {
 			return fmt.Errorf("experiments: snapshot: %w", err)
 		}
 		if id != s.ids[i] {
-			return fmt.Errorf("experiments: snapshot experiment %q at slot %d, registry %q", id, i, s.ids[i])
+			return fmt.Errorf("experiments: %w: snapshot experiment %q at slot %d, run selects %q", checkpoint.ErrMismatch, id, i, s.ids[i])
 		}
 		sn, ok := acc.(snapshotter)
 		if !ok {

@@ -1,9 +1,10 @@
 package experiments
 
 // stream.go implements the experiment suite's one execution engine. A
-// StreamContext consumes a fleet one network at a time — decoded off a
-// wire.Reader walk (meshlab.StreamFleet, or one shard of internal/shard)
-// or taken from an in-memory fleet (meshlab.AnalyzeFleet). Each network
+// StreamContext consumes a fleet one network at a time, from whatever
+// source the driver reads — a dataset file, a synthesis run or an
+// in-memory fleet (meshlab's one driver), or one shard of a file
+// (internal/shard). Each network
 // is measured on a pipeline worker into one-network partials of the
 // selected experiments and released; the collector merges the partials
 // into the run's accumulators in fleet order, and Finalize renders them
@@ -256,6 +257,11 @@ func NewStreamContext(workers int, ids ...string) *StreamContext {
 // before the first Observe; the driver must then call FinishSamples
 // before Finalize.
 func (s *StreamContext) DeferSamples() { s.deferSamples = true }
+
+// WantsSamples reports whether the selection reads the §4 samples. A
+// driver whose dataset carries a flat-sample section skips the section
+// when it does not.
+func (s *StreamContext) WantsSamples() bool { return len(s.sampleObs) > 0 }
 
 // feedSampleGroup hands one network's samples to every §4 accumulator,
 // fanned across the worker budget — their states are independent. The

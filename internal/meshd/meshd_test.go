@@ -463,3 +463,55 @@ func TestStatusJSONKeepsZeroFacts(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshdServesJSONLines: a JSON-lines dataset registers by path and
+// streams like a binary one, serving the same bytes; a malformed one
+// fails its warm on the first attempt, without retries.
+func TestMeshdServesJSONLines(t *testing.T) {
+	s, snap := newWarmServer(t, "")
+	defer s.Shutdown(context.Background())
+	fleet, err := meshlab.LoadFleet(snap.DatasetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jsonl := filepath.Join(dir, "tiny.jsonl")
+	if err := meshlab.SaveFleet(jsonl, fleet); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterPath("tinyjson", jsonl); err != nil {
+		t.Fatal(err)
+	}
+	got := waitReady(t, s, "tinyjson")
+	for _, r := range snap.Results {
+		want, _ := snap.Experiment(r.ID)
+		if txt, err := got.Experiment(r.ID); err != nil || txt != want {
+			t.Fatalf("Experiment(%s) over JSON lines diverges from the binary file (err %v)", r.ID, err)
+		}
+	}
+
+	bad := filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(bad, []byte("{\"kind\":\"meta\",\"meta\":{}}\n{nope\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterPath("bad", bad); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		st, err := s.Status("bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateFailed {
+			if st.Attempt != 1 || !strings.Contains(st.Error, "line 2") {
+				t.Fatalf("malformed JSON lines: attempt %d, error %q; want one attempt naming line 2", st.Attempt, st.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("malformed dataset never reached failed state")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -22,19 +22,20 @@ import (
 	"time"
 
 	"meshlab"
+	"meshlab/internal/dataset"
 	"meshlab/internal/wire"
 )
 
 // permanentWarmError reports whether a warm failure can never be fixed
 // by retrying: corrupt bytes, a dataset that fails cache validation
-// against its scenario, a non-streamable or missing file, a bad
+// against its scenario, a malformed JSON-lines or missing file, a bad
 // registration, or a canceled context. Everything else — EIO from flaky
 // storage, a mid-read disconnect — is presumed transient, exactly the
 // shard runner's policy.
 func permanentWarmError(err error) bool {
 	return wire.IsCorrupt(err) ||
 		errors.Is(err, meshlab.ErrCacheMismatch) ||
-		errors.Is(err, meshlab.ErrNotStreamable) ||
+		errors.Is(err, dataset.ErrMalformed) ||
 		errors.Is(err, fs.ErrNotExist) ||
 		errors.Is(err, ErrBadRequest) ||
 		errors.Is(err, context.Canceled) ||

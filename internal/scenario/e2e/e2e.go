@@ -2,7 +2,7 @@
 // scenarios: declare a spec, synthesize its dataset once, launch the
 // full experiment suite in the background in one or more run variants
 // (plain streamed, sharded, kill-and-resume from checkpoints, in-memory
-// fleet), and poll for the converged report artifact. Convergence is the
+// fleet, streamed synthesis), and poll for the converged report artifact. Convergence is the
 // artifact's existence — reports are written atomically (temp + fsync +
 // rename), so a readable artifact is always a complete one. Every
 // variant renders the same deterministic Report, so a single golden per
@@ -105,9 +105,9 @@ func Streamed() Variant {
 }
 
 // InMemory regenerates the scenario's fleet in memory (the dataset file
-// is not read) and runs the suite over it with meshlab.AnalyzeFleet: the
-// loop behind every in-memory caller, pinned to the same golden as the
-// file-driven variants.
+// is not read) and runs the suite over it with meshlab.AnalyzeFleet, the
+// entry point for callers that hold a fleet, pinned to the same golden
+// as the file-driven variants.
 func InMemory() Variant {
 	return Variant{Name: "in-memory", run: func(h *Harness, sp *scenario.Spec, _ string) ([]*meshlab.Result, error) {
 		opts := sp.Options()
@@ -117,6 +117,19 @@ func InMemory() Variant {
 			return nil, err
 		}
 		return meshlab.AnalyzeFleet(f)
+	}}
+}
+
+// Generated streams a fresh synthesis of the scenario through the suite
+// (the dataset file is not read, and no fleet is held) with
+// meshlab.StreamGenerated: the path behind every CLI run without a
+// dataset file, pinned to the same golden as the file-driven variants.
+func Generated() Variant {
+	return Variant{Name: "generated", run: func(h *Harness, sp *scenario.Spec, _ string) ([]*meshlab.Result, error) {
+		opts := sp.Options()
+		opts.Workers = h.Workers
+		results, _, err := meshlab.StreamGenerated(opts, meshlab.StreamOptions{Workers: h.Workers})
+		return results, err
 	}}
 }
 

@@ -182,8 +182,9 @@ func (m *Manifest) CheckpointNotes() bool {
 
 // Result is a sharded run's output.
 type Result struct {
-	// Results holds every experiment's rendered table, in paper order —
-	// byte-identical to a whole-fleet streaming run when no shard failed.
+	// Results holds every selected experiment's rendered table, in
+	// selection order — byte-identical to a whole-fleet streaming run
+	// when no shard failed.
 	Results []*experiments.Result
 	// Meta is the dataset's stamped generation metadata (the first
 	// planned shard's, in directory mode).
@@ -209,6 +210,10 @@ type Options struct {
 	// Workers bounds each shard's StreamContext pipeline and sample
 	// decode pool; ≤ 0 means the process worker budget.
 	Workers int
+	// Experiments selects the experiments to run, in result order; none
+	// means the full suite in paper order. A checkpoint resumes only
+	// under the selection that wrote it.
+	Experiments []string
 	// MaxRetries is how many times a shard re-runs after a
 	// presumed-transient failure (0 = fail on the first).
 	MaxRetries int
@@ -233,8 +238,9 @@ type Options struct {
 	// Resume seeds each shard from the newest valid checkpoint in
 	// CheckpointDir before streaming (fresh start when none exists, with
 	// corrupt generations skipped by checksum). A checkpoint whose
-	// manifest names a different dataset or shard layout fails the run
-	// with checkpoint.ErrMismatch.
+	// manifest names a different dataset or shard layout, or whose state
+	// holds a different experiment selection, fails the run with
+	// checkpoint.ErrMismatch.
 	Resume bool
 	// CheckpointHook, when non-nil, observes every checkpoint write phase
 	// — the crash-injection seam (see faultfs.CrashPlan.Hook). Nil in
@@ -265,7 +271,8 @@ func (o *Options) retryBase() time.Duration {
 //	2   usage errors — never reach this function; the CLIs exit 2
 //	    directly, including a -resume whose checkpoints name a
 //	    different dataset (checkpoint.ErrMismatch)
-//	3   corrupt input: wire-level corruption or a quarantined shard
+//	3   corrupt input: wire-level corruption, a quarantined shard, or
+//	    malformed JSON lines
 //	4   transient retry budget exhausted
 //	130 interrupted: context canceled or deadline exceeded (the shell
 //	    convention for SIGINT), checked first so a cancellation that
@@ -276,7 +283,7 @@ func ExitCode(err error) int {
 		return 0
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return 130
-	case errors.Is(err, ErrCorruptShard) || wire.IsCorrupt(err):
+	case errors.Is(err, ErrCorruptShard) || wire.IsCorrupt(err) || errors.Is(err, dataset.ErrMalformed):
 		return 3
 	case errors.Is(err, ErrExhausted):
 		return 4
@@ -284,7 +291,7 @@ func ExitCode(err error) int {
 	return 1
 }
 
-// Run executes the full experiment suite over the dataset at path —
+// Run executes the selected experiments over the dataset at path —
 // a single MLF2 file, or a directory of per-shard MLF2 files — sharded
 // per opts. ctx cancellation aborts between attempts and during backoff
 // sleeps.
@@ -375,7 +382,7 @@ func attempt(ctx context.Context, index int, opts Options, run func() (*shardOut
 // ResumeNetworks/ResumeSamples seek path skips straight past the work
 // already covered instead of re-walking the shard from byte zero.
 func streamRange(f io.ReadSeeker, plan *wire.Plan, first, count int, keep map[string]bool, opts Options, ck *ckptState) (*shardOut, error) {
-	out := &shardOut{sc: experiments.NewStreamContext(opts.Workers)}
+	out := &shardOut{sc: experiments.NewStreamContext(opts.Workers, opts.Experiments...)}
 	done := false
 	// The collector goroutine must be released on every exit path; a
 	// failed attempt's context is abandoned, not merged.
@@ -384,8 +391,9 @@ func streamRange(f io.ReadSeeker, plan *wire.Plan, first, count int, keep map[st
 			out.sc.Drain()
 		}
 	}()
-	hasSamples := plan.SamplesOffset != 0
-	out.flatSamples = hasSamples
+	out.flatSamples = plan.SamplesOffset != 0
+	// A selection without §4 experiments skips the section.
+	hasSamples := out.flatSamples && out.sc.WantsSamples()
 	if hasSamples {
 		out.sc.DeferSamples()
 	}
@@ -402,14 +410,18 @@ func streamRange(f io.ReadSeeker, plan *wire.Plan, first, count int, keep map[st
 			return nil, err
 		}
 		if loaded != nil {
-			if err := out.sc.Restore(bytes.NewReader(loaded.State)); err != nil {
+			if err := out.sc.Restore(bytes.NewReader(loaded.State)); errors.Is(err, checkpoint.ErrMismatch) {
+				// The state is another experiment selection's: resuming
+				// it would blend two runs.
+				return nil, err
+			} else if err != nil {
 				// The file passed its checksums but the state does not fit
 				// this build's registry: never trust it, start fresh on a
 				// clean context (Restore may have partially mutated this one).
 				ck.note(fmt.Sprintf("shard %d: checkpoint g%d state unusable (%v), starting fresh",
 					ck.shard, loaded.Manifest.Generation, err))
 				out.sc.Drain()
-				out.sc = experiments.NewStreamContext(opts.Workers)
+				out.sc = experiments.NewStreamContext(opts.Workers, opts.Experiments...)
 				if hasSamples {
 					out.sc.DeferSamples()
 				}

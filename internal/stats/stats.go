@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -92,13 +93,18 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
+	return quantileSorted(sortedCopy(xs), q)
+}
+
+// sortedCopy returns xs itself when it is already sorted, otherwise a
+// copy sorted by SortFloat64s.
+func sortedCopy(xs []float64) []float64 {
 	if sort.Float64sAreSorted(xs) {
-		return quantileSorted(xs, q)
+		return xs
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	sorted := slices.Clone(xs)
+	SortFloat64s(sorted)
+	return sorted
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -124,12 +130,7 @@ func Quartiles(xs []float64) (q1, med, q3 float64) {
 	if len(xs) == 0 {
 		return math.NaN(), math.NaN(), math.NaN()
 	}
-	sorted := xs
-	if !sort.Float64sAreSorted(xs) {
-		sorted = make([]float64, len(xs))
-		copy(sorted, xs)
-		sort.Float64s(sorted)
-	}
+	sorted := sortedCopy(xs)
 	return quantileSorted(sorted, 0.25), quantileSorted(sorted, 0.5), quantileSorted(sorted, 0.75)
 }
 
@@ -142,10 +143,9 @@ type CDF struct {
 // is already sorted (snr.PenaltyResult.Diffs, routing improvement tables
 // after their single sort) skips the O(n log n) re-sort.
 func NewCDF(xs []float64) *CDF {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
+	sorted := slices.Clone(xs)
 	if !sort.Float64sAreSorted(sorted) {
-		sort.Float64s(sorted)
+		SortFloat64s(sorted)
 	}
 	return &CDF{sorted: sorted}
 }
@@ -366,7 +366,7 @@ func (b *Binned) Rows() []BinRow {
 		// One in-place sort per bin; Summarize's median and Quartiles
 		// then both take the sorted-input fast path instead of each
 		// copy-and-sorting the bin again.
-		sort.Float64s(ys)
+		SortFloat64s(ys)
 		s, err := Summarize(ys)
 		if err != nil {
 			continue

@@ -434,3 +434,48 @@ func BenchmarkSortFloat64s(b *testing.B) {
 		})
 	}
 }
+
+// TestQuantileSignedZeroAndNaN pins what a quantile returns over −0, +0
+// and NaN inputs now that the copy-and-sort paths share SortFloat64s:
+// NaNs sort first, a short slice keeps its zeros in input order, and a
+// long one (the radix path) puts every −0 before every +0.
+func TestQuantileSignedZeroAndNaN(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	signbit := func(x float64) bool { return math.Signbit(x) }
+
+	short := []float64{1, 0, negZero}
+	if q := Quantile(short, 0); q != 0 || signbit(q) {
+		t.Fatalf("short: q0 = %v (signbit %v), want +0", q, signbit(q))
+	}
+	if lo, _, _ := Quartiles(short); lo != 0 || signbit(lo) {
+		t.Fatalf("short: q1 = %v (signbit %v), want +0 (+0 and −0 interpolate to +0)", lo, signbit(lo))
+	}
+
+	long := []float64{1}
+	for i := 0; i < 600; i++ {
+		long = append(long, 0, negZero)
+	}
+	if q := Quantile(long, 0); q != 0 || !signbit(q) {
+		t.Fatalf("long: q0 = %v (signbit %v), want −0", q, signbit(q))
+	}
+	if q := Quantile(long, 0.75); q != 0 || signbit(q) {
+		t.Fatalf("long: q0.75 = %v (signbit %v), want +0", q, signbit(q))
+	}
+	if c := NewCDF(long); !signbit(c.Quantile(0)) || c.Quantile(1) != 1 {
+		t.Fatalf("long CDF: ends %v, %v; want −0 and 1", c.Quantile(0), c.Quantile(1))
+	}
+
+	withNaN := []float64{2, math.NaN(), 1}
+	if q := Quantile(withNaN, 0); !math.IsNaN(q) {
+		t.Fatalf("NaN input: q0 = %v, want NaN", q)
+	}
+	if q := Quantile(withNaN, 0.5); q != 1 {
+		t.Fatalf("NaN input: median = %v, want 1", q)
+	}
+	if q := Quantile(withNaN, 1); q != 2 {
+		t.Fatalf("NaN input: q1 = %v, want 2", q)
+	}
+	if withNaN[0] != 2 || !math.IsNaN(withNaN[1]) {
+		t.Fatal("Quantile reordered its input")
+	}
+}

@@ -93,7 +93,7 @@ func (o Options) Meta() dataset.Meta {
 
 // CacheValidatable reports whether a stored dataset can be fully checked
 // against o. A cache file records the seed, durations, cadence, client
-// presence, and (via MatchesTopology) the fleet topology — but not the
+// presence, and (via TopologyMatcher) the fleet topology — but not the
 // probe aggregation depth, the client-mixture tuning, or a RadioParams
 // override, so options setting any of those beyond their defaults must
 // bypass dataset caches rather than risk a false hit.
@@ -125,31 +125,15 @@ func (o Options) CacheValidatable() bool {
 	return true
 }
 
-// MatchesTopology reports whether f's network population is exactly what
-// Generate would produce for opts: the same network datasets in fleet
-// order, each matching on name, band, environment, spacing, and AP
-// layout. Topology synthesis is layout-only and cheap, so combining this
-// with a Meta comparison validates a cached dataset against the full
-// fleet configuration — not just the seed and durations — without paying
-// for probe or client simulation.
-func MatchesTopology(f *dataset.Fleet, opts Options) bool {
-	m, err := NewTopologyMatcher(opts)
-	if err != nil {
-		return false
-	}
-	for _, nd := range f.Networks {
-		if !m.Match(nd.Info) {
-			return false
-		}
-	}
-	return m.Done()
-}
-
-// TopologyMatcher is the incremental form of MatchesTopology: the
-// expected layout is derived once, then stored networks are checked one
-// at a time in fleet order. Streaming cache loaders (see
-// meshlab.LoadOrGenerateFleet) use it to reject a mismatched dataset at
-// the first divergent network instead of decoding the whole file first.
+// TopologyMatcher checks a stored dataset's network population against
+// what synthesis would produce for the options: the same network
+// datasets in fleet order, each matching on name, band, environment,
+// spacing, and AP layout. The expected layout is derived once — topology
+// synthesis is layout-only and cheap — and stored networks are checked
+// one at a time, so with a Meta comparison it validates a cached dataset
+// against the full fleet configuration without probe or client
+// simulation, and a streaming validation (meshlab.StreamCached) rejects
+// a mismatched dataset at the first divergent network.
 type TopologyMatcher struct {
 	expect []expectedNet
 	idx    int
@@ -202,6 +186,9 @@ func (m *TopologyMatcher) Match(info dataset.NetworkInfo) bool {
 
 // Done reports whether every expected network dataset has been matched.
 func (m *TopologyMatcher) Done() bool { return m.idx == len(m.expect) }
+
+// Len returns the number of network datasets the configured fleet holds.
+func (m *TopologyMatcher) Len() int { return len(m.expect) }
 
 // Network is one topology network's synthesized data, as Generator.Run
 // emits it.

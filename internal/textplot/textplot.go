@@ -109,10 +109,14 @@ func (p *Plot) Render() string {
 
 // CDF renders an empirical CDF of xs with the given canvas size.
 func CDF(xs []float64, width, height int, xlabel string) string {
-	if len(xs) == 0 {
+	return CDFOf(stats.NewCDF(xs), width, height, xlabel)
+}
+
+// CDFOf renders an already-built CDF, like CDF.
+func CDFOf(cdf *stats.CDF, width, height int, xlabel string) string {
+	if cdf.N() == 0 {
 		return "(no data)\n"
 	}
-	cdf := stats.NewCDF(xs)
 	vals := cdf.Values()
 	lo, hi := vals[0], vals[len(vals)-1]
 	p := New(width, height, lo, hi, 0, 1).Labels(xlabel, "CDF")

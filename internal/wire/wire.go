@@ -4,12 +4,12 @@
 // runs to hundreds of megabytes, while this encoding stores a probe set
 // in tens of bytes. The full byte-level specification, including the
 // version history and the cache-validation rules layered on top by
-// meshlab.LoadOrGenerateFleet, lives in docs/FORMAT.md.
+// meshlab.StreamCached, lives in docs/FORMAT.md.
 //
 // Two format versions exist, distinguished by a leading magic:
 //
 //   - "MLF1" (legacy): the bare record stream. Readable, no longer
-//     written; WriteV1 is retained so migration paths stay testable.
+//     written; WriteV1 is retained so the v1 reader stays testable.
 //   - "MLF2" (current): adds a section-flag byte, length-prefixed
 //     network records and client section (so a Reader can skip either
 //     without decoding them), and an optional appended flat-sample

@@ -400,9 +400,9 @@ func (bs *bandSpool) endGroup() {
 }
 
 // WriteV1 encodes the fleet in the legacy MLF1 format: no section flags,
-// no record length prefixes, no flat-sample section. It exists so the
-// migration path — meshlab.LoadOrGenerateFleet upgrading old caches in
-// place — stays testable; new files should use Write.
+// no record length prefixes, no flat-sample section. It exists so
+// reading legacy files, caches included, stays testable; new files
+// should use Write.
 func WriteV1(out io.Writer, f *dataset.Fleet) error {
 	w := &writer{w: out, buf: make([]byte, 0, chunkSize+chunkSize/8)}
 	w.bytes(Magic[:])

@@ -25,16 +25,21 @@
 //	fmt.Print(results[0].Format())
 //
 // With no IDs, AnalyzeFleet runs the full suite in paper order. Every
-// entry point drives one engine, the streaming accumulator suite, so the
-// same data yields the same bytes however it arrives: AnalyzeFleet walks
-// an in-memory fleet; StreamFleet walks a binary dataset file without
-// materializing it, its peak memory bounded by derived tables — the §4
-// samples flow through chunked accumulators as per-network groups and
-// are never resident; ShardedStream splits that walk into fault-tolerant
-// shards; and StreamSampleExperiments runs the §4 tables alone at
-// table-sized memory. Every parallel kernel is bounded by the
-// process-wide worker budget (internal/conc), set by the CLIs' -workers
-// flag. See also PERF.md for the optimization inventory and benchmarks.
+// entry point drives one engine, the streaming accumulator suite, over
+// one kind of input — a source: metadata, then network datasets in fleet
+// order, then client logs — so the same data yields the same bytes
+// however it arrives. AnalyzeFleet's source is an in-memory fleet;
+// StreamFleet's is a dataset file in either format, walked without
+// materializing it, its peak memory bounded by derived tables (a binary
+// file's §4 samples flow through chunked accumulators as per-network
+// groups and are never resident); StreamGenerated's is a fresh
+// synthesis; StreamCached's is a dataset cache, or on a miss a synthesis
+// that rewrites it in the same pass. ShardedStream splits a binary
+// file's walk into fault-tolerant shards, and StreamSampleExperiments
+// runs the §4 tables alone at table-sized memory. Every parallel kernel
+// is bounded by the process-wide worker budget (internal/conc), set by
+// the CLIs' -workers flag. See also PERF.md for the optimization
+// inventory and benchmarks.
 //
 // Every table and figure of the thesis's evaluation has a runner; see
 // ExperimentIDs, and EXPERIMENTS.md as regenerated by cmd/meshreport (the
@@ -43,17 +48,10 @@
 package meshlab
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 
-	"meshlab/internal/atomicio"
 	"meshlab/internal/checkpoint"
 	"meshlab/internal/dataset"
 	"meshlab/internal/experiments"
@@ -102,23 +100,27 @@ func ExperimentIDs() []string { return experiments.IDs() }
 
 // AnalyzeFleet runs experiments over an in-memory fleet: the full suite
 // in paper order when no IDs are given, otherwise the given experiments
-// in the given order. It feeds the fleet's networks, in order, through
-// the engine StreamFleet drives from a file, so the results are
-// byte-identical to streaming the fleet's dataset file, and only the
-// selected experiments' per-network work is paid for. An unknown ID is
-// an error. Every goroutine the run starts has exited when AnalyzeFleet
-// returns.
+// in the given order. It drives the engine StreamFleet drives from a
+// file, so the results are byte-identical to streaming the fleet's
+// dataset file, and only the selected experiments' per-network work is
+// paid for. An unknown ID is an error. Every goroutine the run starts
+// has exited when AnalyzeFleet returns.
 func AnalyzeFleet(f *Fleet, ids ...string) ([]*Result, error) {
-	sc := experiments.NewStreamContext(0, ids...)
-	for _, nd := range f.Networks {
-		// A failed Observe leaves its error sticky: Finalize drains the
-		// pipeline and returns it.
-		if sc.Observe(nd) != nil {
-			break
-		}
+	results, _, err := analyze(fleetSource(f), StreamOptions{}, ids)
+	return results, err
+}
+
+// StreamGenerated synthesizes the dataset for opts and runs experiments
+// over it as it is generated, like AnalyzeFleet over GenerateFleet(opts)
+// but without holding the fleet: each network is analyzed and released
+// as it leaves the synthesis pipeline. so.Validate and so.Open do not
+// apply.
+func StreamGenerated(opts Options, so StreamOptions, ids ...string) ([]*Result, *StreamSummary, error) {
+	src, err := generatorSource(opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	sc.SetClients(f.Clients)
-	return sc.Finalize()
+	return analyze(src, so, ids)
 }
 
 // WriteFleet serializes a fleet in the JSON-lines dataset format.
@@ -139,24 +141,14 @@ func WriteFleetBinaryWithSamples(w io.Writer, f *Fleet) error {
 	return wire.EncodeFleet(w, f, wire.EncodeOptions{Samples: true})
 }
 
-// isBinaryMagic reports whether head starts a binary fleet file of any
-// format version.
-func isBinaryMagic(head []byte) bool {
-	return bytes.Equal(head, wire.Magic[:]) || bytes.Equal(head, wire.Magic2[:])
-}
-
 // ReadFleet parses a fleet in either supported format, sniffing the
 // binary format's magic.
 func ReadFleet(r io.Reader) (*Fleet, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
+	src, err := readSource(r)
 	if err != nil {
-		return nil, fmt.Errorf("meshlab: %w", err)
+		return nil, err
 	}
-	if isBinaryMagic(head) {
-		return wire.Read(br)
-	}
-	return dataset.Read(br)
+	return collect(src)
 }
 
 // SaveFleet writes a fleet to a file: the binary format when the path
@@ -167,7 +159,7 @@ func ReadFleet(r io.Reader) (*Fleet, error) {
 // existing device or pipe at the path (say /dev/null) is written in
 // place.
 func SaveFleet(path string, f *Fleet) error {
-	_, err := saveDataset(path, f.Meta, len(f.Networks), false, fleetFeed(f))
+	_, err := saveDataset(path, fleetSource(f), false, nil)
 	return err
 }
 
@@ -176,7 +168,10 @@ func SaveFleet(path string, f *Fleet) error {
 // over the file read the §4 samples instead of re-flattening. The write
 // is atomic, like SaveFleet's.
 func SaveFleetWithSamples(path string, f *Fleet) error {
-	_, err := saveDataset(path, f.Meta, len(f.Networks), true, fleetFeed(f))
+	if err := checkSamplesPath(path, true); err != nil {
+		return err
+	}
+	_, err := saveDataset(path, fleetSource(f), true, nil)
 	return err
 }
 
@@ -206,18 +201,6 @@ func (s *DatasetSummary) addNetwork(nd *dataset.NetworkData) {
 	}
 }
 
-// SummarizeFleet counts an in-memory fleet.
-func SummarizeFleet(f *Fleet) DatasetSummary {
-	s := DatasetSummary{Meta: f.Meta}
-	for _, nd := range f.Networks {
-		s.addNetwork(nd)
-	}
-	for _, cd := range f.Clients {
-		s.Clients += len(cd.Clients)
-	}
-	return s
-}
-
 // GenerateDataset synthesizes the dataset for opts straight into a file,
 // one network at a time, and never holds the fleet: each network is
 // validated, then encoded, as it leaves the synthesis pipeline, so peak
@@ -228,308 +211,87 @@ func SummarizeFleet(f *Fleet) DatasetSummary {
 // bytes equal SaveFleet (or SaveFleetWithSamples) of
 // GenerateFleet(opts).
 func GenerateDataset(path string, opts Options, flatSamples bool) (DatasetSummary, error) {
-	return generateDataset(path, opts, flatSamples, nil)
-}
-
-// generateDataset is GenerateDataset with a hook called after each
-// network is written (by fleet index); its error aborts the write.
-func generateDataset(path string, opts Options, flatSamples bool, written func(int) error) (DatasetSummary, error) {
-	g, err := synth.NewGenerator(opts)
+	if err := checkSamplesPath(path, flatSamples); err != nil {
+		return DatasetSummary{}, err
+	}
+	src, err := generatorSource(opts)
 	if err != nil {
 		return DatasetSummary{}, err
 	}
-	return saveDataset(path, g.Meta(), g.NumDatasets(), flatSamples, func(s *datasetSink) error {
-		i := 0
-		return g.Run(func(nw synth.Network) error {
-			for _, nd := range nw.Datasets {
-				if err := nd.Validate(); err != nil {
-					return fmt.Errorf("generated fleet failed validation: %w", err)
-				}
-			}
-			if nw.Clients != nil {
-				if err := nw.Clients.Validate(); err != nil {
-					return fmt.Errorf("generated fleet failed validation: %w", err)
-				}
-			}
-			for _, nd := range nw.Datasets {
-				if err := s.network(nd); err != nil {
-					return err
-				}
-			}
-			if nw.Clients != nil {
-				if err := s.clients(nw.Clients); err != nil {
-					return err
-				}
-			}
-			if written != nil {
-				if err := written(i); err != nil {
-					return err
-				}
-			}
-			i++
-			return nil
-		})
+	return saveDataset(path, src, flatSamples, nil)
+}
+
+// CacheStatus reports where a cached run's dataset came from.
+type CacheStatus int
+
+const (
+	// CacheHit: the cache file held the requested dataset and was
+	// streamed; nothing was synthesized.
+	CacheHit CacheStatus = iota
+	// CacheWritten: the cache missed, so the dataset was synthesized and
+	// written to the cache in the same pass.
+	CacheWritten
+	// CacheBypassed: the options cannot be validated against a cache file
+	// (Options.CacheValidatable), so the dataset was synthesized and the
+	// file left untouched.
+	CacheBypassed
+)
+
+// StreamCached runs experiments over the dataset for opts, with path as
+// a dataset cache, so synthesis is paid at most once per (seed, config).
+// A cache file that validates against opts — metadata, fleet topology
+// (synth.TopologyMatcher) and client presence, checked as it streams —
+// is a hit. A missing, unreadable, corrupt or mismatched file is a miss:
+// the dataset is synthesized once, each network going both into a new
+// cache (binary, flat-sample section included, written atomically) and
+// into the engine, and no fleet is held. A file whose binary header does
+// not decode is corrupt input, reported and left as it is. Options a
+// cache cannot record bypass it (Options.CacheValidatable): generating
+// is always correct, serving a false hit never is. docs/FORMAT.md has
+// the rules.
+func StreamCached(path string, opts Options, so StreamOptions, ids ...string) ([]*Result, *StreamSummary, CacheStatus, error) {
+	var results []*Result
+	var sum *StreamSummary
+	status, err := withCache(path, opts, func(src *source) (err error) {
+		results, sum, err = analyze(src, so, ids)
+		return err
 	})
+	return results, sum, status, err
 }
 
-// datasetSink encodes networks and client logs, in fleet order, in the
-// format of one output file, and counts them.
-type datasetSink struct {
-	enc interface {
-		Network(*dataset.NetworkData) error
-		Clients(*dataset.ClientData) error
-		Close() error
-	}
-	sum DatasetSummary
-}
-
-func (s *datasetSink) network(nd *dataset.NetworkData) error {
-	s.sum.addNetwork(nd)
-	return s.enc.Network(nd)
-}
-
-func (s *datasetSink) clients(cd *dataset.ClientData) error {
-	s.sum.Clients += len(cd.Clients)
-	return s.enc.Clients(cd)
-}
-
-// fleetFeed feeds an in-memory fleet to a datasetSink.
-func fleetFeed(f *Fleet) func(*datasetSink) error {
-	return func(s *datasetSink) error {
-		for _, nd := range f.Networks {
-			if err := s.network(nd); err != nil {
-				return err
-			}
-		}
-		for _, cd := range f.Clients {
-			if err := s.clients(cd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// saveDataset writes the dataset feed produces to path, in the format
-// the path selects, through writeOutput, and returns its counts.
-// numDatasets is the network dataset count feed will deliver.
-func saveDataset(path string, meta Meta, numDatasets int, samples bool, feed func(*datasetSink) error) (DatasetSummary, error) {
-	bin := strings.HasSuffix(path, ".bin")
-	if samples && !bin {
-		return DatasetSummary{}, fmt.Errorf("meshlab: the flat-sample section requires the binary format (a .bin path), got %s", path)
+// GenerateDatasetCached writes the dataset for opts to path like
+// GenerateDataset, with cache as a dataset cache under StreamCached's
+// rules: a hit streams the cache file into path, a miss synthesizes once
+// into both files.
+func GenerateDatasetCached(path string, opts Options, flatSamples bool, cache string) (DatasetSummary, CacheStatus, error) {
+	if err := checkSamplesPath(path, flatSamples); err != nil {
+		return DatasetSummary{}, CacheHit, err
 	}
 	var sum DatasetSummary
-	err := writeOutput(path, func(w io.Writer, spoolDir string) error {
-		s := &datasetSink{sum: DatasetSummary{Meta: meta}}
-		if bin {
-			enc := wire.NewEncoder(w, meta, numDatasets, wire.EncodeOptions{Samples: samples, SpoolDir: spoolDir})
-			defer enc.Abort()
-			s.enc = enc
-		} else {
-			s.enc = dataset.NewEncoder(w, meta)
-		}
-		if err := feed(s); err != nil {
-			return err
-		}
-		if err := s.enc.Close(); err != nil {
-			return err
-		}
-		sum = s.sum
-		return nil
+	status, err := withCache(cache, opts, func(src *source) (err error) {
+		sum, err = saveDataset(path, src, flatSamples, nil)
+		return err
 	})
-	return sum, err
-}
-
-// writeOutput writes a file through write, which gets the destination
-// and the directory its spools belong in. A regular (or missing) path is
-// written atomically — atomicio's temp file beside it, fsync, rename —
-// so a failed or interrupted write leaves the previous file intact. An
-// existing non-regular path (a device such as /dev/null, or a pipe)
-// cannot be replaced by a rename: it is written in place, spooling in
-// the system temp directory. Errors from write are returned as they
-// are.
-func writeOutput(path string, write func(w io.Writer, spoolDir string) error) error {
-	if info, err := os.Stat(path); err == nil && !info.Mode().IsRegular() {
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
-		if err != nil {
-			return fmt.Errorf("meshlab: %w", err)
-		}
-		if err := write(f, os.TempDir()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("meshlab: %w", err)
-		}
-		return nil
-	}
-	var werr error
-	err := atomicio.WriteFile(path, 0o644, func(tmp *os.File) error {
-		werr = write(tmp, filepath.Dir(path))
-		return werr
-	})
-	if err != nil && err != werr {
-		return fmt.Errorf("meshlab: %w", err)
-	}
-	return err
+	return sum, status, err
 }
 
 // LoadFleet reads a fleet from a file in either format.
 func LoadFleet(path string) (*Fleet, error) {
-	file, err := os.Open(path)
+	src, err := openSource(path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("meshlab: %w", err)
+		return nil, err
 	}
-	defer file.Close()
-	return ReadFleet(file)
+	defer src.close()
+	return collect(src)
 }
-
-// LoadOrGenerateFleet returns the fleet for opts, using path as a dataset
-// cache so synthesis is paid at most once per (seed, config). The
-// returned bool reports whether the cache was hit.
-//
-// A binary file at path is streamed network-by-network and accepted when
-// its metadata — seed, probe duration and cadence, client snapshot length
-// — matches what Generate would stamp for opts, its client data presence
-// matches opts.SkipClients, and its network population matches a cheap
-// layout-only regeneration of the fleet topology (synth.TopologyMatcher);
-// a changed fleet configuration therefore invalidates even when the
-// metadata coincides, and a mismatch aborts at the first divergent
-// network instead of decoding the rest of the file. A JSON-lines file is
-// validated the same way after a full load. Anything else (missing file,
-// unreadable format, mismatched seed or config) triggers a fresh
-// synthesis whose result is written back to path in the current binary
-// format with the flat-sample section appended.
-//
-// A cache hit on a file in the legacy binary framing (magic "MLF1"), or
-// one without a readable flat-sample section, rewrites the file in the
-// current format — best effort, a failed rewrite still returns the loaded
-// fleet — so the next run starts warm. See docs/FORMAT.md for both
-// layouts.
-//
-// Options the file format cannot record — a RadioParams override, a
-// non-default probe aggregation depth, or client-mixture tuning — bypass
-// the cache entirely (see synth.Options.CacheValidatable): generating is
-// always correct, serving a false hit never is.
-func LoadOrGenerateFleet(path string, opts Options) (*Fleet, bool, error) {
-	if !opts.CacheValidatable() {
-		f, err := GenerateFleet(opts)
-		return f, false, err
-	}
-	if f, ok := loadValidatedCache(path, opts); ok {
-		return f, true, nil
-	}
-	// Claim a temp file next to the cache path before synthesizing, so an
-	// unwritable location fails in milliseconds instead of after minutes
-	// of generation; the final rename is atomic, so an interrupt mid-run
-	// leaves any previous cache intact and concurrent readers never see a
-	// torn file. A directory at path would pass the temp-file probe but
-	// fail the rename after synthesis, so reject it up front too.
-	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		return nil, false, fmt.Errorf("meshlab: dataset cache: %s is a directory", path)
-	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		// A bare filename must stage its temp file in the same (current)
-		// directory — CreateTemp("") would fall back to the system temp
-		// dir, where the final rename can cross filesystems.
-		dir = "."
-	}
-	// Probe writability with a throwaway file, but create the real temp
-	// only after synthesis succeeds: a crash or kill during the
-	// minutes-long generation then cannot leak a stale multi-hundred-MB
-	// .tmp file next to the cache.
-	probe, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return nil, false, fmt.Errorf("meshlab: dataset cache: %w", err)
-	}
-	probe.Close()
-	os.Remove(probe.Name())
-	f, err := GenerateFleet(opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := writeDatasetCache(path, f); err != nil {
-		return nil, false, err
-	}
-	return f, false, nil
-}
-
-// errTopologyMismatch aborts a streaming cache load at the first network
-// that diverges from the expected fleet layout.
-var errTopologyMismatch = errors.New("topology mismatch")
-
-// loadValidatedCache loads the dataset cache at path if it exists and
-// matches opts, returning ok=false (a miss) otherwise. Binary files are
-// validated while streaming; the metadata check happens before any
-// network is decoded. On a hit against a file without a readable
-// flat-sample section (legacy framing or a corrupt trailing section),
-// the cache is rewritten in the current format, best effort.
-func loadValidatedCache(path string, opts Options) (*Fleet, bool) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, false
-	}
-	defer file.Close()
-	br := bufio.NewReaderSize(file, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return nil, false
-	}
-	if !isBinaryMagic(head) {
-		// JSON-lines cache (hand-placed; this package writes binary):
-		// validate after a full load, and leave the user's format alone.
-		f, err := dataset.Read(br)
-		if err != nil {
-			return nil, false
-		}
-		ok := f.Meta == opts.Meta() && opts.SkipClients == (len(f.Clients) == 0) &&
-			synth.MatchesTopology(f, opts)
-		return f, ok
-	}
-	rd, err := wire.NewReader(br)
-	if err != nil || rd.Meta() != opts.Meta() {
-		return nil, false
-	}
-	tm, err := synth.NewTopologyMatcher(opts)
-	if err != nil {
-		return nil, false
-	}
-	f := &Fleet{Meta: rd.Meta()}
-	err = rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
-		if !tm.Match(nd.Info) {
-			return errTopologyMismatch
-		}
-		f.Networks = append(f.Networks, nd)
-		return nil
-	})
-	if err != nil || !tm.Done() {
-		return nil, false
-	}
-	if f.Clients, err = rd.Clients(); err != nil || opts.SkipClients != (len(f.Clients) == 0) {
-		return nil, false
-	}
-	// The fleet itself validated. Walk the sample section without
-	// retaining it: a missing or corrupt section is rewritten rather than
-	// resynthesized, so the next run starts warm; on a failed rewrite the
-	// old file keeps working as a cache.
-	if !rd.HasFlatSamples() || rd.SampleGroups(0, func(*wire.SampleGroup) error { return nil }) != nil {
-		_ = writeDatasetCache(path, f) // best effort, see above
-	}
-	return f, true
-}
-
-// ErrNotStreamable reports that a file cannot feed the streaming suite:
-// only the binary wire formats can be walked without materializing the
-// fleet.
-var ErrNotStreamable = errors.New("meshlab: not a streamable binary dataset")
 
 // ErrCacheMismatch reports that a dataset file fails validation against
 // the requested generation options (wrong seed, config, or truncated
 // fleet), so it cannot be served as a cache hit.
 var ErrCacheMismatch = errors.New("meshlab: dataset does not match the requested options")
 
-// StreamOptions configures a StreamFleet run.
+// StreamOptions configures a streaming run: StreamFleet, StreamGenerated
+// or StreamCached.
 type StreamOptions struct {
 	// Workers bounds the pipeline fan-out, the in-flight network window,
 	// and the flat-sample-section decode pool; 0 means the process worker
@@ -558,15 +320,15 @@ type StreamOptions struct {
 // StreamSummary describes the dataset a streaming run walked, standing in
 // for the Fleet the run never materialized.
 type StreamSummary struct {
-	// Meta is the dataset file's stamped generation metadata.
+	// Meta is the dataset's stamped generation metadata.
 	Meta Meta
 	// Networks, NetworksBG, and NetworksN count the walked network
 	// datasets; ProbeSets totals their probe sets.
 	Networks, NetworksBG, NetworksN int
 	ProbeSets                       int
 	// FlatSamples reports whether the file carried the flat-sample
-	// section (so the §4 analyses consumed its groups instead of
-	// re-flattening probe data).
+	// section (so the §4 analyses, when selected, consumed its groups
+	// instead of re-flattening probe data).
 	FlatSamples bool
 	// SampleGroups counts the sample-group chunks streamed out of the
 	// flat-sample section: at least one per network dataset, more when a
@@ -578,118 +340,39 @@ type StreamSummary struct {
 	MaxLiveNetworks int
 }
 
-// StreamFleet runs the full experiment suite over a binary fleet file in
-// one streaming pass, never materializing the fleet: each network is
-// decoded, observed by every experiment (per-network derived work fans
-// across StreamOptions.Workers), and released, so peak memory is bounded
-// by the derived data plus a bounded window of in-flight networks. The
-// results are byte-identical to AnalyzeFleet over the same fleet. A file
+// StreamFleet runs experiments — the full suite in paper order when no
+// IDs are given, otherwise the given ones in the given order — over a
+// dataset file in either format in one streaming pass, never
+// materializing the fleet: each network is decoded, observed by every
+// selected experiment (per-network derived work fans across
+// StreamOptions.Workers), and released, so peak memory is bounded by the
+// derived data plus a bounded window of in-flight networks. The results
+// are byte-identical to AnalyzeFleet over the same fleet. A binary file
 // with the flat-sample section additionally skips the §4 flattening
-// pass. JSON-lines files cannot stream; the error wraps ErrNotStreamable
-// so callers can load them with LoadFleet and use AnalyzeFleet instead.
-func StreamFleet(path string, so StreamOptions) ([]*Result, *StreamSummary, error) {
-	open := so.Open
-	if open == nil {
-		open = func(p string) (io.ReadSeekCloser, error) { return os.Open(p) }
-	}
-	file, err := open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("meshlab: %w", err)
-	}
-	defer file.Close()
-	br := bufio.NewReaderSize(file, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return nil, nil, fmt.Errorf("meshlab: %s: %w", path, err)
-	}
-	if !isBinaryMagic(head) {
-		return nil, nil, fmt.Errorf("%w: %s (JSON-lines datasets must be materialized, or re-encoded with `meshgen -out fleet.bin`)", ErrNotStreamable, path)
-	}
-	rd, err := wire.NewReader(br)
+// pass, and skips the section when the selection reads no samples.
+func StreamFleet(path string, so StreamOptions, ids ...string) ([]*Result, *StreamSummary, error) {
+	src, err := openSource(path, so.Open)
 	if err != nil {
 		return nil, nil, err
 	}
-	var tm *synth.TopologyMatcher
-	if v := so.Validate; v != nil {
-		if rd.Meta() != v.Meta() {
-			return nil, nil, fmt.Errorf("%w: %s was generated with different metadata", ErrCacheMismatch, path)
-		}
-		if tm, err = synth.NewTopologyMatcher(*v); err != nil {
+	defer src.close()
+	if so.Validate != nil {
+		if src, err = validated(src, path, *so.Validate); err != nil {
 			return nil, nil, err
 		}
 	}
-	sc := experiments.NewStreamContext(so.Workers)
-	sum := &StreamSummary{Meta: rd.Meta(), FlatSamples: rd.HasFlatSamples()}
-	if sum.FlatSamples {
-		sc.DeferSamples()
-	}
-	walkErr := rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
-		if tm != nil && !tm.Match(nd.Info) {
-			return fmt.Errorf("%w: network %s/%s diverges from the configured topology", ErrCacheMismatch, nd.Info.Name, nd.Info.Band)
-		}
-		sum.Networks++
-		switch nd.Info.Band {
-		case "bg":
-			sum.NetworksBG++
-		case "n":
-			sum.NetworksN++
-		}
-		sets := 0
-		for _, l := range nd.Links {
-			sets += len(l.Sets)
-		}
-		sum.ProbeSets += sets
-		if so.OnNetwork != nil {
-			so.OnNetwork(nd.Info, len(nd.Links), sets)
-		}
-		return sc.Observe(nd)
-	})
-	if walkErr == nil && tm != nil && !tm.Done() {
-		walkErr = fmt.Errorf("%w: %s holds fewer networks than the configured fleet", ErrCacheMismatch, path)
-	}
-	var cds []*dataset.ClientData
-	if walkErr == nil {
-		cds, walkErr = rd.Clients()
-	}
-	if walkErr == nil && so.Validate != nil && so.Validate.SkipClients != (len(cds) == 0) {
-		walkErr = fmt.Errorf("%w: client data presence disagrees with the requested options", ErrCacheMismatch)
-	}
-	sc.SetClients(cds)
-	if walkErr == nil && sum.FlatSamples {
-		// Stream the section's per-network groups straight into the
-		// chunked §4 accumulators: groups decode across the worker pool
-		// and overlap with accumulator consumption (see wire.SampleGroups),
-		// and nothing is retained beyond the accumulators' tables.
-		walkErr = rd.SampleGroups(so.Workers, func(g *wire.SampleGroup) error {
-			sum.SampleGroups++
-			return sc.ObserveSampleGroup(g.Band, g.Samples)
-		})
-		if walkErr == nil {
-			sc.FinishSamples()
-		}
-	}
-	// Finalize also drains the pipeline, so it runs even after a walk
-	// error to release the worker goroutines.
-	results, finErr := sc.Finalize()
-	_, sum.MaxLiveNetworks = sc.Stats()
-	if walkErr != nil {
-		return nil, nil, walkErr
-	}
-	if finErr != nil {
-		return nil, nil, finErr
-	}
-	return results, sum, nil
+	return analyze(src, so, ids)
 }
 
 // ShardOptions configures a fault-tolerant sharded run; see
-// shard.Options for field semantics (Shards, Workers, MaxRetries,
-// AllowPartial, the Open hook, RetryBase, and the checkpoint knobs
-// CheckpointDir / CheckpointEvery / Resume).
+// shard.Options for field semantics (Shards, Workers, the Experiments
+// selection, MaxRetries, AllowPartial, the Open hook, RetryBase, and the
+// checkpoint knobs CheckpointDir / CheckpointEvery / Resume).
 type ShardOptions = shard.Options
 
 // ErrCheckpointMismatch is returned when a -resume run's checkpoints
-// name a different dataset or shard layout than the run in progress;
-// the CLIs treat it as a usage error (exit 2).
+// name a different dataset, shard layout or experiment selection than
+// the run in progress; the CLIs treat it as a usage error (exit 2).
 var ErrCheckpointMismatch = checkpoint.ErrMismatch
 
 // ShardManifest is a sharded run's coverage record: per-shard outcomes
@@ -705,8 +388,8 @@ type ShardResult = shard.Result
 // exhaustion, 1 otherwise (2 is reserved for usage errors).
 func ShardExitCode(err error) int { return shard.ExitCode(err) }
 
-// ShardedStream runs the full experiment suite over a binary fleet
-// file — or a directory of per-shard .bin files — split into
+// ShardedStream runs the selected experiments (ShardOptions.Experiments;
+// the full suite when empty) over a binary fleet file — or a directory of per-shard .bin files — split into
 // contiguous network-range shards that stream concurrently and merge
 // into one result set. With healthy input the results are
 // byte-identical to StreamFleet at any shard count, worker budget, or
@@ -719,49 +402,44 @@ func ShardedStream(ctx context.Context, path string, so ShardOptions) (*ShardRes
 	return shard.Run(ctx, path, so)
 }
 
-// EachSampleGroup streams a binary fleet file's §4 samples one
-// per-network group at a time: from the flat-sample section when the
-// file carries one (groups decode across a bounded pool of workers, ≤ 0
-// meaning the process budget, and arrive in file order), otherwise by
-// flattening each network record as it is walked. Peak memory is a
-// bounded window of groups — never the sample set — so fn can train
-// chunked accumulators at table-sized RSS. JSON-lines files cannot
-// stream; the error wraps ErrNotStreamable.
+// EachSampleGroup streams a dataset file's §4 samples one per-network
+// group at a time: from the flat-sample section when the file carries
+// one (groups decode across a bounded pool of workers, ≤ 0 meaning the
+// process budget, and arrive in file order), otherwise by flattening
+// each network as it is read. Peak memory is a bounded window of groups
+// — never the sample set — so fn can train chunked accumulators at
+// table-sized RSS.
 func EachSampleGroup(path string, workers int, fn func(band, net string, samples []snr.Sample) error) error {
-	file, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("meshlab: %w", err)
-	}
-	defer file.Close()
-	br := bufio.NewReaderSize(file, 1<<20)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return fmt.Errorf("meshlab: %s: %w", path, err)
-	}
-	if !isBinaryMagic(head) {
-		return fmt.Errorf("%w: %s — the sample-streaming mode needs the binary format; regenerate with `meshgen -out fleet.bin -flat-samples` or point at a -dataset cache", ErrNotStreamable, path)
-	}
-	rd, err := wire.NewReader(br)
+	src, err := openSource(path, nil)
 	if err != nil {
 		return err
 	}
-	if rd.HasFlatSamples() {
-		return rd.SampleGroups(workers, func(g *wire.SampleGroup) error {
+	defer src.close()
+	if src.samples != nil {
+		return src.samples(workers, func(g *wire.SampleGroup) error {
 			return fn(g.Band, g.Net, g.Samples)
 		})
 	}
-	return rd.EachNetwork(wire.Filter{}, func(nd *dataset.NetworkData) error {
-		group, err := snr.Flatten([]*dataset.NetworkData{nd})
-		if err != nil {
-			return err
-		}
-		return fn(nd.Info.Band, nd.Info.Name, group)
-	})
+	return src.feed(flattener(fn))
 }
 
+// flattener is a sink that flattens each network's §4 samples into fn
+// and drops client logs.
+type flattener func(band, net string, samples []snr.Sample) error
+
+func (fn flattener) network(nd *dataset.NetworkData) error {
+	group, err := snr.Flatten([]*dataset.NetworkData{nd})
+	if err != nil {
+		return err
+	}
+	return fn(nd.Info.Band, nd.Info.Name, group)
+}
+
+func (flattener) clients(*dataset.ClientData) error { return nil }
+
 // StreamSampleExperiments runs sample-only experiments
-// (SampleExperimentIDs) over a binary fleet file's chunked sample-group
-// stream: the -sec4 engine. The samples are never materialized — each
+// (SampleExperimentIDs) over a dataset file's chunked sample-group
+// stream (EachSampleGroup): the -sec4 engine. The samples are never materialized — each
 // group trains the experiments' count/histogram tables and is released —
 // so reference-scale caches analyze at table-sized memory. Results are
 // byte-identical to the same experiments in a full-suite run, in the
@@ -787,19 +465,3 @@ func SampleExperimentIDs() []string { return experiments.SampleIDs() }
 // SampleOnlyExperiment reports whether the experiment can run from
 // samples alone (the StreamSampleExperiments population).
 func SampleOnlyExperiment(id string) bool { return experiments.SampleOnly(id) }
-
-// writeDatasetCache atomically replaces path with f in the current binary
-// format, flat-sample section included — atomicio's temp + fsync +
-// rename, so concurrent readers never observe a torn cache and a crash
-// mid-write cannot lose the previous one. The sample section spools
-// beside the cache. The cache gets the usual 0644 data-file mode so other
-// users of a shared fixture can read it, like SaveFleet output.
-func writeDatasetCache(path string, f *Fleet) error {
-	err := atomicio.WriteFile(path, 0o644, func(tmp *os.File) error {
-		return wire.EncodeFleet(tmp, f, wire.EncodeOptions{Samples: true, SpoolDir: filepath.Dir(path)})
-	})
-	if err != nil {
-		return fmt.Errorf("meshlab: dataset cache: %w", err)
-	}
-	return nil
-}

@@ -45,6 +45,10 @@ func TestGenerateDatasetMatchesSave(t *testing.T) {
 		if err := c.save(want, fleet); err != nil {
 			t.Fatal(err)
 		}
+		wantSum, err := saveDataset(os.DevNull, fleetSource(fleet), false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantBytes, err := os.ReadFile(want)
 		if err != nil {
 			t.Fatal(err)
@@ -62,12 +66,29 @@ func TestGenerateDatasetMatchesSave(t *testing.T) {
 			if !bytes.Equal(gotBytes, wantBytes) {
 				t.Fatalf("%s, workers=%d: streamed %d bytes differ from the saved fleet's %d", c.name, workers, len(gotBytes), len(wantBytes))
 			}
-			if sum != SummarizeFleet(fleet) {
-				t.Fatalf("%s: summary %+v, fleet has %+v", c.name, sum, SummarizeFleet(fleet))
+			if sum != wantSum {
+				t.Fatalf("%s: summary %+v, fleet has %+v", c.name, sum, wantSum)
 			}
 		}
 	}
 }
+
+// failingSink fails on the k-th network dataset it receives, counting
+// from 0.
+type failingSink struct {
+	k, n int
+	err  error
+}
+
+func (s *failingSink) network(*dataset.NetworkData) error {
+	s.n++
+	if s.n-1 == s.k {
+		return s.err
+	}
+	return nil
+}
+
+func (s *failingSink) clients(*dataset.ClientData) error { return nil }
 
 // TestGenerateDatasetFailureMidStream: a write that fails at the k-th
 // network returns that error, joins every goroutine, and leaves nothing
@@ -79,12 +100,11 @@ func TestGenerateDatasetFailureMidStream(t *testing.T) {
 				before := leakcheck.Take()
 				dir := t.TempDir()
 				boom := errors.New("write failed")
-				_, err := generateDataset(filepath.Join(dir, "out.bin"), shortQuickOptions(22, workers), true, func(i int) error {
-					if i == k {
-						return boom
-					}
-					return nil
-				})
+				src, err := generatorSource(shortQuickOptions(22, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = saveDataset(filepath.Join(dir, "out.bin"), src, true, &failingSink{k: k, err: boom})
 				if !errors.Is(err, boom) {
 					t.Fatalf("got %v, want the injected failure", err)
 				}

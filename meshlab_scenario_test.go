@@ -1,8 +1,9 @@
 // Scenario end-to-end tests: declare a built-in scenario, synthesize its
-// dataset, run the full suite through the polling e2e harness in four
-// variants (streamed, sharded, kill-and-resume, in-memory), and pin every
-// scenario's report against a checked-in golden. External test package:
-// the harness imports meshlab, so an internal test would be a cycle.
+// dataset, run the full suite through the polling e2e harness in five
+// variants (streamed, sharded, kill-and-resume, in-memory, generated),
+// and pin every scenario's report against a checked-in golden. External
+// test package: the harness imports meshlab, so an internal test would
+// be a cycle.
 package meshlab_test
 
 import (
@@ -26,7 +27,7 @@ func scenarioGoldenPath(name string) string {
 }
 
 // TestScenarioE2EGoldens runs every built-in scenario (except the
-// reference, which is guardrail-scale) through all four run variants,
+// reference, which is guardrail-scale) through all five run variants,
 // requires the converged reports to be byte-identical, and
 // compares them against the scenario's golden. Run with -update to
 // regenerate goldens after an intentional change — the embedded spec
@@ -56,6 +57,7 @@ func TestScenarioE2EGoldens(t *testing.T) {
 				e2e.Sharded(3),
 				e2e.CheckpointResume(3, "pre-rename"),
 				e2e.InMemory(),
+				e2e.Generated(),
 			}
 			runs := make([]*e2e.Run, len(variants))
 			for i, v := range variants {
@@ -147,17 +149,18 @@ func TestScenarioStaleCacheDetected(t *testing.T) {
 		t.Fatalf("stale dataset passed validation for a different scenario: %v", err)
 	}
 
-	// The load-or-generate cache path: a hit for the generating
-	// scenario, a regeneration (not a silent reuse) for the other.
-	if _, hit, err := meshlab.LoadOrGenerateFleet(path, optsA); err != nil || !hit {
-		t.Fatalf("matching scenario should hit the cache (hit=%v, err=%v)", hit, err)
+	// The dataset cache: a hit for the generating scenario, a
+	// regeneration (not a silent reuse) for the other.
+	out := filepath.Join(dir, "out.bin")
+	if _, status, err := meshlab.GenerateDatasetCached(out, optsA, false, path); err != nil || status != meshlab.CacheHit {
+		t.Fatalf("matching scenario should hit the cache (status=%v, err=%v)", status, err)
 	}
-	if _, hit, err := meshlab.LoadOrGenerateFleet(path, optsB); err != nil || hit {
-		t.Fatalf("stale cache should be regenerated, not reused (hit=%v, err=%v)", hit, err)
+	if _, status, err := meshlab.GenerateDatasetCached(out, optsB, false, path); err != nil || status != meshlab.CacheWritten {
+		t.Fatalf("stale cache should be regenerated, not reused (status=%v, err=%v)", status, err)
 	}
 	// After the miss the file holds scenario B's fleet, so B now hits
 	// and A must in turn regenerate.
-	if _, hit, err := meshlab.LoadOrGenerateFleet(path, optsB); err != nil || !hit {
-		t.Fatalf("regenerated cache should now serve scenario B (hit=%v, err=%v)", hit, err)
+	if _, status, err := meshlab.GenerateDatasetCached(out, optsB, false, path); err != nil || status != meshlab.CacheHit {
+		t.Fatalf("regenerated cache should now serve scenario B (status=%v, err=%v)", status, err)
 	}
 }

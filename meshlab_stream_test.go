@@ -30,57 +30,67 @@ func hasFlatSamples(t *testing.T, path string) bool {
 	return rd.HasFlatSamples()
 }
 
-// TestLoadOrGenerateFleetUpgradesLegacyCache: a valid cache written in
-// the legacy MLF1 framing must hit (no resynthesis) and be rewritten in
-// the current format with the flat-sample section.
-func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.bin")
+// TestCacheServesLegacyFileAsIs: a valid cache without the flat-sample
+// section — the legacy MLF1 framing, or JSON lines — hits, streams into
+// the engine and into a binary -out alike, and is not rewritten: a hit
+// never writes.
+func TestCacheServesLegacyFileAsIs(t *testing.T) {
+	dir := t.TempDir()
 	opts := QuickOptions(31)
 	fleet, err := GenerateFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := os.Create(path)
+	want, err := AnalyzeFleet(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteV1(file, fleet); err != nil {
+	wantOut := filepath.Join(dir, "want.bin")
+	if err := SaveFleet(wantOut, fleet); err != nil {
 		t.Fatal(err)
 	}
-	if err := file.Close(); err != nil {
+	var v1, jsonl bytes.Buffer
+	if err := wire.WriteV1(&v1, fleet); err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteFleet(&jsonl, fleet); err != nil {
+		t.Fatal(err)
+	}
+	for name, legacy := range map[string][]byte{"MLF1": v1.Bytes(), "JSON lines": jsonl.Bytes()} {
+		path := filepath.Join(dir, "cache.bin")
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		results, _, status, err := StreamCached(path, opts, StreamOptions{Workers: 2})
+		if err != nil || status != CacheHit {
+			t.Fatalf("%s: a valid cache must hit, got status %v, err %v", name, status, err)
+		}
+		for i := range want {
+			if results[i].Format() != want[i].Format() {
+				t.Fatalf("%s: %s analyzed differently", name, want[i].ID)
+			}
+		}
+		out := filepath.Join(dir, "out.bin")
+		if _, status, err := GenerateDatasetCached(out, opts, false, path); err != nil || status != CacheHit {
+			t.Fatalf("%s: writing -out from the cache: status %v, err %v", name, status, err)
+		}
+		if got, want := mustRead(t, out), mustRead(t, wantOut); !bytes.Equal(got, want) {
+			t.Fatalf("%s: -out written from the cache differs from the saved fleet", name)
+		}
+		if !bytes.Equal(mustRead(t, path), legacy) {
+			t.Fatalf("%s: a cache hit rewrote the file", name)
+		}
+	}
+}
 
-	f, hit, err := LoadOrGenerateFleet(path, opts)
+// mustRead returns a file's bytes.
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("a valid legacy cache must hit, not resynthesize")
-	}
-	if f.NumProbeSets() != fleet.NumProbeSets() {
-		t.Fatal("legacy cache decoded differently")
-	}
-	head := make([]byte, 4)
-	fh, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fh.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-	if !bytes.Equal(head, wire.Magic2[:]) {
-		t.Fatalf("cache not upgraded: magic %q", head)
-	}
-	if !hasFlatSamples(t, path) {
-		t.Fatal("the upgrade rewrite should append the flat-sample section")
-	}
-
-	// The upgraded cache still hits.
-	if _, hit, err = LoadOrGenerateFleet(path, opts); err != nil || !hit {
-		t.Fatalf("upgraded cache should hit (hit=%v, err=%v)", hit, err)
-	}
+	return b
 }
 
 // TestLoadOrGenerateFleetSamplesWarm: the cold write stores the
@@ -88,7 +98,7 @@ func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 func TestLoadOrGenerateFleetSamplesWarm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(32)
-	fleet, hit, err := LoadOrGenerateFleet(path, opts)
+	fleet, hit, err := loadOrGenerate(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestLoadOrGenerateFleetSamplesWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hit, err := LoadOrGenerateFleet(path, opts)
+	warm, hit, err := loadOrGenerate(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +132,10 @@ func TestLoadOrGenerateFleetSamplesWarm(t *testing.T) {
 }
 
 // TestStreamFleetMatchesMaterialized pins the file path against the
-// in-memory fleet loop: streaming a binary file (with and without the
-// flat-sample section) must emit results byte-identical to AnalyzeFleet
-// over the materialized fleet, and must report honest walk accounting.
+// in-memory fleet: streaming a binary file (with and without the
+// flat-sample section) or a JSON-lines file must emit results
+// byte-identical to AnalyzeFleet over the materialized fleet, and must
+// report honest walk accounting.
 func TestStreamFleetMatchesMaterialized(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(34))
 	if err != nil {
@@ -143,10 +154,14 @@ func TestStreamFleetMatchesMaterialized(t *testing.T) {
 	if err := SaveFleetWithSamples(sampled, fleet); err != nil {
 		t.Fatal(err)
 	}
+	jsonl := filepath.Join(dir, "fleet.jsonl")
+	if err := SaveFleet(jsonl, fleet); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		path        string
 		flatSamples bool
-	}{{plain, false}, {sampled, true}} {
+	}{{plain, false}, {sampled, true}, {jsonl, false}} {
 		results, sum, err := StreamFleet(tc.path, StreamOptions{Workers: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.path, err)
@@ -205,28 +220,10 @@ func TestStreamFleetValidates(t *testing.T) {
 	}
 }
 
-// TestStreamFleetNotStreamable: JSON-lines input is rejected with the
-// sentinel the CLIs use to load the fleet instead (or print guidance).
-func TestStreamFleetNotStreamable(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.jsonl")
-	if err := SaveFleet(path, fleet); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := StreamFleet(path, StreamOptions{}); !errors.Is(err, ErrNotStreamable) {
-		t.Fatalf("JSONL: got %v, want ErrNotStreamable", err)
-	}
-	if err := EachSampleGroup(path, 1, nil); !errors.Is(err, ErrNotStreamable) {
-		t.Fatalf("EachSampleGroup on JSONL: got %v, want ErrNotStreamable", err)
-	}
-}
-
 // TestEachSampleGroupMatchesLoadSamples: the chunked group walk carries
 // exactly the samples a materializing read returns, per band and in
-// order, from both a sample-carrying and a section-less binary file.
+// order, from a sample-carrying and a section-less binary file and from
+// JSON lines.
 func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(39))
 	if err != nil {
@@ -241,8 +238,12 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 	if err := SaveFleet(plain, fleet); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{sampled, plain} {
-		want := readSamples(t, path)
+	jsonl := filepath.Join(dir, "fleet.jsonl")
+	if err := SaveFleet(jsonl, fleet); err != nil {
+		t.Fatal(err)
+	}
+	want := readSamples(t, plain)
+	for _, path := range []string{sampled, plain, jsonl} {
 		cat := map[string][]snr.Sample{}
 		groups := 0
 		if err := EachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {

@@ -181,12 +181,25 @@ func TestWriteFleetBinaryStream(t *testing.T) {
 	}
 }
 
+// loadOrGenerate collects the dataset for opts into a fleet through the
+// dataset cache at path — the path StreamCached and
+// GenerateDatasetCached share — and reports whether the cache was hit.
+// The TestLoadOrGenerateFleet* tests pin the cache rules through it.
+func loadOrGenerate(path string, opts Options) (*Fleet, bool, error) {
+	var f *Fleet
+	status, err := withCache(path, opts, func(src *source) (err error) {
+		f, err = collect(src)
+		return err
+	})
+	return f, status == CacheHit, err
+}
+
 func TestLoadOrGenerateFleet(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(17)
 
 	// Cold cache: synthesizes and writes the file.
-	f1, hit, err := LoadOrGenerateFleet(path, opts)
+	f1, hit, err := loadOrGenerate(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +211,7 @@ func TestLoadOrGenerateFleet(t *testing.T) {
 	}
 
 	// Warm cache: loads the file, skipping synthesis.
-	f2, hit, err := LoadOrGenerateFleet(path, opts)
+	f2, hit, err := loadOrGenerate(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +224,7 @@ func TestLoadOrGenerateFleet(t *testing.T) {
 
 	// Seed mismatch invalidates: regenerates and rewrites.
 	other := QuickOptions(18)
-	f3, hit, err := LoadOrGenerateFleet(path, other)
+	f3, hit, err := loadOrGenerate(path, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +234,14 @@ func TestLoadOrGenerateFleet(t *testing.T) {
 	if f3.Meta.Seed != 18 {
 		t.Fatalf("regenerated fleet has seed %d, want 18", f3.Meta.Seed)
 	}
-	if f4, hit, _ := LoadOrGenerateFleet(path, other); !hit || f4.Meta.Seed != 18 {
+	if f4, hit, _ := loadOrGenerate(path, other); !hit || f4.Meta.Seed != 18 {
 		t.Fatal("rewritten cache should hit for the new seed")
 	}
 
 	// Config mismatch (probe cadence) invalidates too.
 	tweaked := QuickOptions(18)
 	tweaked.Probe.ReportInterval = 600
-	if _, hit, err := LoadOrGenerateFleet(path, tweaked); err != nil || hit {
+	if _, hit, err := loadOrGenerate(path, tweaked); err != nil || hit {
 		t.Fatalf("cadence mismatch should regenerate (hit=%v err=%v)", hit, err)
 	}
 
@@ -237,7 +250,7 @@ func TestLoadOrGenerateFleet(t *testing.T) {
 	noClients := QuickOptions(18)
 	noClients.Probe.ReportInterval = 600
 	noClients.SkipClients = true
-	f5, hit, err := LoadOrGenerateFleet(path, noClients)
+	f5, hit, err := loadOrGenerate(path, noClients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +267,7 @@ func TestLoadOrGenerateFleetCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a fleet at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, hit, err := LoadOrGenerateFleet(path, QuickOptions(5))
+	f, hit, err := loadOrGenerate(path, QuickOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +277,7 @@ func TestLoadOrGenerateFleetCorruptFile(t *testing.T) {
 	if f.NumProbeSets() == 0 {
 		t.Fatal("regenerated fleet is empty")
 	}
-	if f2, hit, _ := LoadOrGenerateFleet(path, QuickOptions(5)); !hit || f2.Meta.Seed != 5 {
+	if f2, hit, _ := loadOrGenerate(path, QuickOptions(5)); !hit || f2.Meta.Seed != 5 {
 		t.Fatal("regenerated cache should hit on the next run")
 	}
 }
@@ -275,7 +288,7 @@ func TestLoadOrGenerateFleetBypassesCacheForRadioParams(t *testing.T) {
 	opts.RadioParams = func(outdoor bool) radio.Params {
 		return radio.DefaultParams(radio.Indoor)
 	}
-	if _, hit, err := LoadOrGenerateFleet(path, opts); err != nil || hit {
+	if _, hit, err := loadOrGenerate(path, opts); err != nil || hit {
 		t.Fatalf("RadioParams options must bypass the cache (hit=%v err=%v)", hit, err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -290,13 +303,13 @@ func TestLoadOrGenerateFleetBypassesCacheForRadioParams(t *testing.T) {
 func TestLoadOrGenerateFleetDetectsTopologyMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(9)
-	if _, _, err := LoadOrGenerateFleet(path, opts); err != nil {
+	if _, _, err := loadOrGenerate(path, opts); err != nil {
 		t.Fatal(err)
 	}
 	smaller := QuickOptions(9) // identical Meta...
 	smaller.Fleet.NumNetworks = 11
 	smaller.Fleet.NumIndoor = 6 // ...but one fewer indoor network
-	f, hit, err := LoadOrGenerateFleet(path, smaller)
+	f, hit, err := loadOrGenerate(path, smaller)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +319,7 @@ func TestLoadOrGenerateFleetDetectsTopologyMismatch(t *testing.T) {
 	if len(f.Clients) != 11 {
 		t.Fatalf("regenerated fleet has %d client logs, want 11", len(f.Clients))
 	}
-	if _, hit, _ := LoadOrGenerateFleet(path, smaller); !hit {
+	if _, hit, _ := loadOrGenerate(path, smaller); !hit {
 		t.Fatal("rewritten cache should hit for the new config")
 	}
 }
@@ -316,7 +329,7 @@ func TestLoadOrGenerateFleetDetectsTopologyMismatch(t *testing.T) {
 func TestLoadOrGenerateFleetFailsFastOnUnwritablePath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no", "such", "dir", "cache.bin")
 	start := time.Now()
-	if _, _, err := LoadOrGenerateFleet(path, QuickOptions(5)); err == nil {
+	if _, _, err := loadOrGenerate(path, QuickOptions(5)); err == nil {
 		t.Fatal("unwritable cache path should error")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -331,7 +344,7 @@ func TestLoadOrGenerateFleetBypassesCacheForUnrecordedConfig(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	deeper := QuickOptions(5)
 	deeper.Probe.ProbesPerRate = 40
-	if _, hit, err := LoadOrGenerateFleet(path, deeper); err != nil || hit {
+	if _, hit, err := loadOrGenerate(path, deeper); err != nil || hit {
 		t.Fatalf("ProbesPerRate override must bypass the cache (hit=%v err=%v)", hit, err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -339,16 +352,16 @@ func TestLoadOrGenerateFleetBypassesCacheForUnrecordedConfig(t *testing.T) {
 	}
 	mixed := QuickOptions(5)
 	mixed.Clients.ClientsPerAP = 2.5
-	if _, hit, err := LoadOrGenerateFleet(path, mixed); err != nil || hit {
+	if _, hit, err := loadOrGenerate(path, mixed); err != nil || hit {
 		t.Fatalf("client-mixture override must bypass the cache (hit=%v err=%v)", hit, err)
 	}
 	// Setting only the fields the cache does record stays cacheable.
 	recorded := QuickOptions(5)
 	recorded.Probe.ProbesPerRate = 20 // the package default, effectively unset
-	if _, _, err := LoadOrGenerateFleet(path, recorded); err != nil {
+	if _, _, err := loadOrGenerate(path, recorded); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := LoadOrGenerateFleet(path, recorded); !hit {
+	if _, hit, _ := loadOrGenerate(path, recorded); !hit {
 		t.Fatal("default-equal config should still be cacheable")
 	}
 }
@@ -358,10 +371,10 @@ func TestLoadOrGenerateFleetBypassesCacheForUnrecordedConfig(t *testing.T) {
 func TestLoadOrGenerateFleetWriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.bin")
-	if _, _, err := LoadOrGenerateFleet(path, QuickOptions(5)); err != nil {
+	if _, _, err := loadOrGenerate(path, QuickOptions(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadOrGenerateFleet(path, QuickOptions(6)); err != nil {
+	if _, _, err := loadOrGenerate(path, QuickOptions(6)); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -385,7 +398,7 @@ func TestLoadOrGenerateFleetWriteIsAtomic(t *testing.T) {
 // up world-readable like every other data file the tools write.
 func TestLoadOrGenerateFleetRelativePath(t *testing.T) {
 	t.Chdir(t.TempDir())
-	if _, hit, err := LoadOrGenerateFleet("cache.bin", QuickOptions(5)); err != nil || hit {
+	if _, hit, err := loadOrGenerate("cache.bin", QuickOptions(5)); err != nil || hit {
 		t.Fatalf("relative-path cold write failed (hit=%v err=%v)", hit, err)
 	}
 	info, err := os.Stat("cache.bin")
@@ -395,7 +408,7 @@ func TestLoadOrGenerateFleetRelativePath(t *testing.T) {
 	if perm := info.Mode().Perm(); perm != 0o644 {
 		t.Fatalf("cache mode %o, want 644", perm)
 	}
-	if _, hit, err := LoadOrGenerateFleet("cache.bin", QuickOptions(5)); err != nil || !hit {
+	if _, hit, err := loadOrGenerate("cache.bin", QuickOptions(5)); err != nil || !hit {
 		t.Fatalf("relative-path warm read failed (hit=%v err=%v)", hit, err)
 	}
 }
@@ -403,7 +416,7 @@ func TestLoadOrGenerateFleetRelativePath(t *testing.T) {
 func TestLoadOrGenerateFleetRejectsDirectoryPath(t *testing.T) {
 	dir := t.TempDir()
 	start := time.Now()
-	if _, _, err := LoadOrGenerateFleet(dir, QuickOptions(5)); err == nil {
+	if _, _, err := loadOrGenerate(dir, QuickOptions(5)); err == nil {
 		t.Fatal("a directory cache path should error")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
