@@ -355,8 +355,53 @@ func TestStreamingDoesNotMaterializeFleet(t *testing.T) {
 			t.Fatalf("%s: the generator-fed run diverges from the streamed file", results[i].ID)
 		}
 	}
-	t.Logf("live heap: streamed suite %d KB vs materialized fleet %d KB vs materialized samples %d KB (window %d/%d networks, %d sample groups); generator-fed run held up to %d networks",
-		streamBytes>>10, fleetBytes>>10, samplesBytes>>10, sum.MaxLiveNetworks, sum.Networks, sum.SampleGroups, held.peak)
+	// The generator feed has no sample section: the walk flattens each
+	// network on the collector, link by link, in chunks of snr.ChunkRows
+	// samples. With the chunk size lowered below every network's sample
+	// count, every network splits, on both paths: the section walk decodes
+	// its groups in sub-chunks too. The results must not move, and no
+	// group fed may exceed one chunk plus one link's run.
+	largest, longest := 0, 0
+	for _, nd := range fleet.Networks {
+		n := 0
+		for _, l := range nd.Links {
+			n += len(l.Sets)
+			longest = max(longest, len(l.Sets))
+		}
+		largest = max(largest, n)
+	}
+	if genSum.MaxSampleGroup > largest {
+		t.Fatalf("generator-fed run fed a %d-sample group; the largest network has %d probe sets", genSum.MaxSampleGroup, largest)
+	}
+	defer func(old int) { snr.ChunkRows = old }(snr.ChunkRows)
+	snr.ChunkRows = 64
+	chunkedResults, chunkedSum, err := StreamFleet(path, StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err = generatorSource(QuickOptions(20100521))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkedGen, chunkedGenSum, err := analyze(src, StreamOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunkedSum.SampleGroups <= sum.SampleGroups {
+		t.Fatalf("chunk size %d: the section walk fed %d groups, no more than the %d at the default size", snr.ChunkRows, chunkedSum.SampleGroups, sum.SampleGroups)
+	}
+	if bound := snr.ChunkRows + longest; chunkedGenSum.MaxSampleGroup > bound || chunkedGenSum.MaxSampleGroup >= largest {
+		t.Fatalf("chunk size %d: the generator-fed run fed a %d-sample group; want at most one chunk plus one link (%d), below the largest network (%d)",
+			snr.ChunkRows, chunkedGenSum.MaxSampleGroup, bound, largest)
+	}
+	for i := range results {
+		if chunkedResults[i].Format() != results[i].Format() || chunkedGen[i].Format() != results[i].Format() {
+			t.Fatalf("%s: a sub-chunked run diverges from the default-size streamed file", results[i].ID)
+		}
+	}
+	t.Logf("live heap: streamed suite %d KB vs materialized fleet %d KB vs materialized samples %d KB (window %d/%d networks, %d sample groups); generator-fed run held up to %d networks and fed groups of up to %d samples (%d with %d-sample chunks)",
+		streamBytes>>10, fleetBytes>>10, samplesBytes>>10, sum.MaxLiveNetworks, sum.Networks, sum.SampleGroups, held.peak,
+		genSum.MaxSampleGroup, chunkedGenSum.MaxSampleGroup, snr.ChunkRows)
 	runtime.KeepAlive(results)
 	runtime.KeepAlive(fleet)
 	runtime.KeepAlive(samples)

@@ -181,6 +181,8 @@ type StreamContext struct {
 	deferSamples bool
 	samplesDone  bool
 	sampleObs    []sampleObsAt
+	// maxGroup is the most samples fed to the accumulators in one group.
+	maxGroup int
 	// replay is the strategy replay fig4.6 and tab4.1 share; nil when
 	// neither is selected.
 	replay *strategyReplay
@@ -267,6 +269,7 @@ func (s *StreamContext) WantsSamples() bool { return len(s.sampleObs) > 0 }
 // fanned across the worker budget — their states are independent. The
 // group is indexed once, into the GroupView they all read.
 func (s *StreamContext) feedSampleGroup(band string, group []snr.Sample) error {
+	s.maxGroup = max(s.maxGroup, len(group))
 	v := snr.NewGroupView(group)
 	return conc.ForEach(len(s.sampleObs), func(k int) error {
 		o := s.sampleObs[k]
@@ -383,17 +386,19 @@ func (s *StreamContext) collect() {
 }
 
 // fold applies one measured network in fleet order: flatten-and-feed of
-// its §4 sample group on a section-less walk, then a merge of every
-// partial into the run's accumulator. The flattened samples are released
-// with the network — the chunked accumulators retain only their tables —
-// so a section-less stream is sample-bounded too.
+// its §4 samples on a section-less walk, then a merge of every partial
+// into the run's accumulator. The network flattens link by link into
+// link-aligned chunks of snr.ChunkRows samples, each fed and released
+// before the next is built — the chunked accumulators retain only their
+// tables — so a section-less stream holds at most one chunk of samples,
+// as a file's flat-sample section walk does, even for the network that
+// dominates the sample count.
 func (s *StreamContext) fold(j *streamJob) error {
 	if j.nd != nil {
-		group, err := snr.Flatten([]*dataset.NetworkData{j.nd})
-		if err != nil {
-			return err
-		}
-		if err := s.feedSampleGroup(j.nd.Info.Band, group); err != nil {
+		band := j.nd.Info.Band
+		if err := snr.FlattenChunks(j.nd, func(chunk []snr.Sample) error {
+			return s.feedSampleGroup(band, chunk)
+		}); err != nil {
 			return err
 		}
 	}
@@ -403,6 +408,16 @@ func (s *StreamContext) fold(j *streamJob) error {
 		}
 	}
 	return nil
+}
+
+// MaxSampleGroup returns the most samples the run fed the §4
+// accumulators in one group — a flat-sample section group or a chunk of a
+// flattened network: the §4 path's sample-memory bound. Call it after
+// Finalize.
+func (s *StreamContext) MaxSampleGroup() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maxGroup
 }
 
 // Stats reports pipeline accounting for the finished (or in-progress)

@@ -70,10 +70,17 @@ type Rate struct {
 // received when the channel SNR is snr dB. The result is clamped to
 // [0, 1] and is monotone non-decreasing in snr.
 func (r Rate) SuccessProb(snr float64) float64 {
-	p := 1 / (1 + math.Exp(-(snr-r.MidSNR)/r.Slope))
 	// A real radio never achieves a perfect link; cap so even strong
 	// links see occasional loss, matching the probe data's behaviour.
 	const cap = 0.995
+	x := -(snr - r.MidSNR) / r.Slope
+	if x < -6 {
+		// Saturated side: 1/(1+eˣ) > 1/(1+e⁻⁶) > 0.9975 > cap, so the
+		// formula would return the cap too; skip its exponential. NaN
+		// fails the comparison and takes the formula.
+		return cap
+	}
+	p := 1 / (1 + math.Exp(x))
 	if p > cap {
 		return cap
 	}

@@ -215,3 +215,65 @@ func BenchmarkSuccessProb(b *testing.B) {
 		_ = r.SuccessProb(float64(i % 40))
 	}
 }
+
+// successProbFormula is the unshortened success curve: SuccessProb must
+// return exactly its bits for every input.
+func successProbFormula(r Rate, snr float64) float64 {
+	p := 1 / (1 + math.Exp(-(snr-r.MidSNR)/r.Slope))
+	if p > 0.995 {
+		return 0.995
+	}
+	return p
+}
+
+// TestSuccessProbMatchesFormula referees SuccessProb's saturated-side
+// shortcut against the formula bit for bit: every rate of both bands plus
+// degenerate slopes, across an SNR sweep, at the shortcut's edge and at
+// the non-finite inputs.
+func TestSuccessProbMatchesFormula(t *testing.T) {
+	rates := append(append([]Rate{}, BandBG.Rates...), BandN.Rates...)
+	rates = append(rates,
+		Rate{Name: "flat", Mbps: 1, MidSNR: 5, Slope: 0},
+		Rate{Name: "falling", Mbps: 1, MidSNR: 5, Slope: -2},
+	)
+	check := func(r Rate, snr float64) {
+		t.Helper()
+		got, want := r.SuccessProb(snr), successProbFormula(r, snr)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s (slope %v): SuccessProb(%v) = %v (%#x), formula %v (%#x)",
+				r.Name, r.Slope, snr, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, r := range rates {
+		for i := -60 * 64; i <= 90*64; i++ {
+			check(r, float64(i)/64)
+		}
+		for _, snr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			check(r, snr)
+		}
+		if r.Slope == 0 {
+			continue
+		}
+		// The SNRs whose x = -(snr-MidSNR)/Slope lands on -6 and on its
+		// float64 neighbours, and a few ulps either side of them.
+		edge := r.MidSNR + 6*r.Slope
+		for _, snr := range []float64{edge, math.Nextafter(edge, math.Inf(1)), math.Nextafter(edge, math.Inf(-1))} {
+			s := snr
+			for k := 0; k < 4; k++ {
+				check(r, s)
+				s = math.Nextafter(s, math.Inf(-1))
+			}
+			s = snr
+			for k := 0; k < 4; k++ {
+				check(r, s)
+				s = math.Nextafter(s, math.Inf(1))
+			}
+		}
+	}
+	// The shortcut's own threshold, both sides: a slope of 1 and a
+	// midpoint of 0 make x = -snr exactly.
+	unit := Rate{Name: "unit", Mbps: 1, Slope: 1}
+	for _, x := range []float64{-6, math.Nextafter(-6, 0), math.Nextafter(-6, math.Inf(-1))} {
+		check(unit, -x)
+	}
+}

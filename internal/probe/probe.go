@@ -11,10 +11,21 @@
 // approximation to the binomial around the channel's analytic success
 // probability, which preserves both the mean and the 1/20-quantized
 // sampling noise of real loss reports.
+//
+// A collection step has a parallel phase and a serial one. The parallel
+// phase advances every channel and integrates its per-rate faded success
+// probabilities; each channel draws only from its own rng split, so pairs
+// fan out across the worker budget. The serial phase draws the window
+// noise from the one collection stream, in link order, reading only what
+// the parallel phase wrote into a step buffer. Two buffers let step s+1's
+// parallel phase run while step s samples, so the serial sampling — not
+// the channel integration — bounds a large network's collection time, and
+// the dataset stays byte-identical at any worker budget.
 package probe
 
 import (
 	"math"
+	"sync"
 
 	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
@@ -76,61 +87,73 @@ func NetworkInfo(net *mesh.Net) dataset.NetworkInfo {
 // a probe are omitted, matching the real dataset where unheard neighbors
 // simply produce no entries.
 //
-// Each step splits into two phases. The expensive part — advancing every
+// Each report step has two phases. The expensive one — advancing every
 // pair's channel state and integrating the per-rate faded success
 // probabilities — is deterministic per pair (each channel owns its own
 // seed-derived rng split), so it fans across the process worker budget
-// (internal/conc). The cheap sampling noise then draws from the shared
-// collection stream serially, in the exact order the serial
-// implementation used: the probabilities decide how many draws each
-// probe set consumes, and they are bit-identical in both phases' orders,
-// so the collected dataset is byte-identical at any budget.
+// (internal/conc) into a step buffer: per directed link, its probability
+// row and its slow SNR deviation, the only mutable channel state the
+// sampling reads. The sampling noise then draws from the shared
+// collection stream serially, from that buffer alone, in directed-link
+// order: the probabilities decide how many draws each probe set
+// consumes, and they are bit-identical in any schedule.
+//
+// Because sampling reads only its step's buffer, the phases overlap on
+// two buffers: with a budget above 1, step s+1's advance runs on the
+// worker pool while step s samples on the calling goroutine, and the two
+// join before the buffers swap. At budget 1 the same loop runs the
+// phases one after the other and starts no goroutine. The collected
+// dataset is byte-identical at any budget.
 func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 	cfg = cfg.withDefaults()
 	cr := r.Split("collect")
 
 	nd := &dataset.NetworkData{Info: NetworkInfo(net)}
-	// links[d] accumulates the probe sets of directed link d; directed
-	// link index = 2*pairIdx + {0: fwd, 1: rev}.
-	links := make([]*dataset.Link, 2*len(net.Pairs))
-
+	// Directed link index di = 2*pairIdx + {0: fwd, 1: rev}.
+	nl := 2 * len(net.Pairs)
 	nr := len(net.Band.Rates)
-	// probs[di*nr+ri] holds directed link di's delivery probability at
-	// rate ri for the current step, filled by the parallel phase. Pair
-	// tasks write disjoint ranges.
-	probs := make([]float64, 2*len(net.Pairs)*nr)
+	// links[di] accumulates the probe sets of directed link di; consts[di]
+	// holds the channel values the sampling reads that never change.
+	links := make([]*dataset.Link, nl)
+	consts := make([]linkConsts, nl)
+	for pi, lp := range net.Pairs {
+		consts[2*pi] = newLinkConsts(lp.Pair.Fwd)
+		consts[2*pi+1] = newLinkConsts(lp.Pair.Rev)
+	}
 
 	steps := int(cfg.Duration / cfg.ReportInterval)
-	for step := 1; step <= steps; step++ {
-		t := int32(float64(step) * cfg.ReportInterval)
+	cur, next := newStepBuf(nl, nr), newStepBuf(nl, nr)
+	// advance fills b with the next step's channel state. Pair tasks write
+	// disjoint ranges.
+	advance := func(b *stepBuf) {
 		_ = conc.ForEach(len(net.Pairs), func(pi int) error {
 			lp := net.Pairs[pi]
-			lp.Pair.Fwd.Advance(cfg.ReportInterval)
-			lp.Pair.Rev.Advance(cfg.ReportInterval)
-			for dir := 0; dir < 2; dir++ {
-				ch := lp.Pair.Fwd
-				if dir == 1 {
-					ch = lp.Pair.Rev
-				}
+			for dir, ch := range [2]*radio.Channel{lp.Pair.Fwd, lp.Pair.Rev} {
+				ch.Advance(cfg.ReportInterval)
+				di := 2*pi + dir
+				b.slow[di] = ch.SlowDeviation()
 				eff := ch.EffectiveSNR()
 				fadeStd := ch.Params().FadeStd
-				base := (2*pi + dir) * nr
+				row := b.probs[di*nr : (di+1)*nr]
 				for ri, rate := range net.Band.Rates {
-					probs[base+ri] = radio.FadedSuccess(rate, eff, fadeStd)
+					row[ri] = radio.FadedSuccess(rate, eff, fadeStd)
 				}
 			}
 			return nil
 		})
+	}
+	// sample draws step's probe sets from b on the calling goroutine.
+	scratch := make([]dataset.Obs, nr)
+	sample := func(b *stepBuf, step int) {
+		t := int32(float64(step) * cfg.ReportInterval)
 		for pi, lp := range net.Pairs {
 			for dir := 0; dir < 2; dir++ {
-				ch := lp.Pair.Fwd
 				from, to := lp.I, lp.J
 				if dir == 1 {
-					ch = lp.Pair.Rev
 					from, to = lp.J, lp.I
 				}
 				di := 2*pi + dir
-				ps, ok := sampleProbeSet(cr, ch, probs[di*nr:(di+1)*nr], t, cfg)
+				ps, ok := sampleProbeSet(cr, b.probs[di*nr:(di+1)*nr], b.slow[di], consts[di], t, cfg.ProbesPerRate, scratch)
 				if !ok {
 					continue
 				}
@@ -141,6 +164,33 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 			}
 		}
 	}
+
+	overlap := conc.Budget() > 1
+	var wg sync.WaitGroup
+	defer wg.Wait() // join the advance even if sampling panics
+	if steps > 0 {
+		advance(cur)
+	}
+	for step := 1; step <= steps; step++ {
+		last := step == steps
+		if !last && overlap {
+			wg.Add(1)
+			b := next
+			spawn(func() {
+				defer wg.Done()
+				advance(b)
+			})
+		}
+		sample(cur, step)
+		if !last {
+			if overlap {
+				wg.Wait()
+			} else {
+				advance(next)
+			}
+		}
+		cur, next = next, cur
+	}
 	for _, l := range links {
 		if l != nil {
 			nd.Links = append(nd.Links, l)
@@ -149,44 +199,82 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 	return nd
 }
 
+// spawn starts fn on a new goroutine. It is Collect's only goroutine
+// start outside internal/conc; a var so tests can count the starts.
+var spawn = func(fn func()) { go fn() }
+
+// stepBuf is one report step's output of Collect's parallel phase, per
+// directed link di: probs[di*nr+ri] is the delivery probability at rate
+// ri and slow[di] the channel's slow SNR deviation after the advance.
+type stepBuf struct {
+	probs []float64
+	slow  []float64
+}
+
+func newStepBuf(links, rates int) *stepBuf {
+	return &stepBuf{probs: make([]float64, links*rates), slow: make([]float64, links)}
+}
+
+// linkConsts are the values of one directed channel that sampling reads
+// and no advance changes.
+type linkConsts struct {
+	// mean is the long-term mean reported SNR.
+	mean float64
+	// measNoise is the per-report SNR measurement noise std.
+	measNoise float64
+	// stdBase is the within-window SNR std before jitter: per-reading
+	// measurement noise plus the AR innovation accumulated across the
+	// window's probes.
+	stdBase float64
+}
+
+func newLinkConsts(ch *radio.Channel) linkConsts {
+	params := ch.Params()
+	innov := params.ARSigma * math.Sqrt(1-math.Exp(-2*40/params.ARTau))
+	return linkConsts{
+		mean:      ch.MeanSNR(),
+		measNoise: params.MeasNoise,
+		stdBase:   math.Sqrt(params.MeasNoise*params.MeasNoise + innov*innov*3),
+	}
+}
+
 // sampleProbeSet produces one window's report for a directed channel, or
 // ok=false when no probe at any rate was received (the neighbor was not
 // heard this window). probs carries the channel's per-rate delivery
-// probabilities, precomputed by Collect's parallel phase.
-func sampleProbeSet(r *rng.Stream, ch *radio.Channel, probs []float64, t int32, cfg Config) (dataset.ProbeSet, bool) {
-	n := cfg.ProbesPerRate
-	params := ch.Params()
-
-	ps := dataset.ProbeSet{T: t}
+// probabilities and slow its slow SNR deviation, both from Collect's
+// parallel phase; n is the number of probes per rate. scratch (one
+// entry per rate) stages the observations.
+func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts, t int32, n int, scratch []dataset.Obs) (dataset.ProbeSet, bool) {
 	received := 0
 	for ri, p := range probs {
 		k := binomialApprox(r, n, p)
 		received += k
-		ps.Obs = append(ps.Obs, dataset.Obs{
+		scratch[ri] = dataset.Obs{
 			RateIdx: uint8(ri),
 			Loss:    float32(1 - float64(k)/float64(n)),
-		})
+		}
 	}
 	if received == 0 {
 		return dataset.ProbeSet{}, false
 	}
+	// Most windows of a large network hear nothing; only a heard one
+	// allocates its observations, at their exact size.
+	ps := dataset.ProbeSet{T: t, Obs: make([]dataset.Obs, len(probs))}
+	copy(ps.Obs, scratch)
 
 	// Median reported SNR over the window's received probes: the sample
 	// median of ~n noisy readings around the slow link SNR. Its sampling
 	// error shrinks like 1/sqrt(n).
-	snr := ch.MeanSNR() + ch.SlowDeviation() +
-		r.NormFloat64()*params.MeasNoise/math.Sqrt(float64(received)+1)
+	snr := lc.mean + slow +
+		r.NormFloat64()*lc.measNoise/math.Sqrt(float64(received)+1)
 	ps.SNR = int16(math.Round(snr))
 
-	// Within-window SNR standard deviation (Figure 3.1's quantity):
-	// per-reading measurement noise plus the AR innovation accumulated
-	// across the window's probes, scaled by a sampled chi-like jitter.
-	// A small fraction of windows straddle an abrupt channel shift and
-	// show a heavier deviation, giving the CDF its >5 dB tail.
-	innov := params.ARSigma * math.Sqrt(1-math.Exp(-2*40/params.ARTau))
-	base := math.Sqrt(params.MeasNoise*params.MeasNoise + innov*innov*3)
+	// Within-window SNR standard deviation (Figure 3.1's quantity): the
+	// link's std base scaled by a sampled chi-like jitter. A small
+	// fraction of windows straddle an abrupt channel shift and show a
+	// heavier deviation, giving the CDF its >5 dB tail.
 	jitter := math.Abs(1 + 0.3*r.NormFloat64())
-	std := base * jitter
+	std := lc.stdBase * jitter
 	if r.Bool(0.04) {
 		std += 2 * r.ExpFloat64()
 	}

@@ -3,9 +3,11 @@ package probe
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"meshlab/internal/conc"
+	"meshlab/internal/leakcheck"
 
 	"meshlab/internal/dataset"
 	"meshlab/internal/mesh"
@@ -14,6 +16,10 @@ import (
 	"meshlab/internal/stats"
 	"meshlab/internal/topology"
 )
+
+// TestMain fails the package if a test leaves a goroutine running: an
+// overlapped advance Collect did not join.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func buildNet(t testing.TB, seed uint64, size int, env topology.EnvClass) *mesh.Net {
 	if t != nil {
@@ -225,19 +231,55 @@ func BenchmarkCollect20APsOneHour(b *testing.B) {
 	}
 }
 
-// TestCollectBudgetOracle pins the parallel collection phase: the
-// channel advance and success-probability integration fan across the
-// process worker budget, while the shared sampling stream stays serial —
-// so the collected dataset must be byte-identical at any budget (the
-// probabilities, not the schedule, decide every rng draw).
+// TestCollectBudgetOracle pins the overlapped collection: the channel
+// advance and success-probability integration fan across the process
+// worker budget and run one step ahead of the sampling, while the shared
+// sampling stream stays serial — so the collected dataset must be
+// identical at any budget (the probabilities, not the schedule, decide
+// every rng draw). At budget 1 Collect starts no goroutine; above it,
+// one per overlapped step.
 func TestCollectBudgetOracle(t *testing.T) {
 	defer conc.SetBudget(0)
+	var starts atomic.Int64
+	defer func(old func(func())) { spawn = old }(spawn)
+	spawn = func(fn func()) {
+		starts.Add(1)
+		go fn()
+	}
 	cfg := Config{Duration: 2 * 3600, ReportInterval: 300}
-	conc.SetBudget(1)
-	serial := collect(t, 77, 12, cfg)
-	conc.SetBudget(8)
-	parallel := collect(t, 77, 12, cfg)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("Collect diverges between budget 1 and budget 8")
+	steps := int64(cfg.Duration / cfg.ReportInterval)
+	var want *dataset.NetworkData
+	for _, budget := range []int{1, 2, 8} {
+		conc.SetBudget(budget)
+		starts.Store(0)
+		got := collect(t, 77, 30, cfg)
+		wantStarts := steps - 1
+		if budget == 1 {
+			wantStarts = 0
+		}
+		if n := starts.Load(); n != wantStarts {
+			t.Fatalf("budget %d: Collect started %d goroutines, want %d", budget, n, wantStarts)
+		}
+		if len(got.Links) < 100 {
+			t.Fatalf("budget %d: only %d links collected; the network is too small to exercise the overlap", budget, len(got.Links))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("Collect diverges between budget 1 and budget %d", budget)
+		}
+	}
+}
+
+// TestCollectNoSteps: a duration shorter than one report interval
+// collects nothing and starts nothing.
+func TestCollectNoSteps(t *testing.T) {
+	defer conc.SetBudget(0)
+	conc.SetBudget(4)
+	nd := collect(t, 78, 6, Config{Duration: 100, ReportInterval: 300})
+	if len(nd.Links) != 0 {
+		t.Fatalf("%d links collected in zero steps", len(nd.Links))
 	}
 }

@@ -173,6 +173,23 @@ type Channel struct {
 	// prone).
 	burstRate float64
 	rng       *rng.Stream
+
+	// step caches Advance's per-dt constants for the last dt it saw.
+	step advanceStep
+}
+
+// advanceStep holds the constants Advance derives from its dt: probe
+// collection advances every channel by the same interval at every step,
+// so they are computed once per channel, not once per call.
+type advanceStep struct {
+	// dt is the interval the constants are for; 0 until the first
+	// Advance (which never sees dt ≤ 0).
+	dt float64
+	// rho is the AR(1) decay e^(−dt/τ), and innov the innovation scale
+	// √(1−ρ²)·σ.
+	rho, innov float64
+	// burst is the probability of at least one burst arrival in dt.
+	burst float64
 }
 
 // Pair holds the two directed channels between a pair of APs.
@@ -218,8 +235,16 @@ func (c *Channel) Advance(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	rho := math.Exp(-dt / c.params.ARTau)
-	c.ar = rho*c.ar + math.Sqrt(1-rho*rho)*c.params.ARSigma*c.rng.NormFloat64()
+	if dt != c.step.dt {
+		rho := math.Exp(-dt / c.params.ARTau)
+		c.step = advanceStep{
+			dt:    dt,
+			rho:   rho,
+			innov: math.Sqrt(1-rho*rho) * c.params.ARSigma,
+			burst: 1 - math.Exp(-c.burstRate*dt),
+		}
+	}
+	c.ar = c.step.rho*c.ar + c.step.innov*c.rng.NormFloat64()
 
 	if c.burstLeft > 0 {
 		c.burstLeft -= dt
@@ -230,7 +255,7 @@ func (c *Channel) Advance(dt float64) {
 	}
 	if c.burstLeft == 0 && c.burstRate > 0 {
 		// Probability of at least one arrival in dt.
-		if c.rng.Bool(1 - math.Exp(-c.burstRate*dt)) {
+		if c.rng.Bool(c.step.burst) {
 			c.burstLeft = c.params.BurstMeanDur * (0.3 + c.rng.ExpFloat64())
 			c.burstPenalty = c.rng.Range(c.params.BurstPenaltyLo, c.params.BurstPenaltyHi)
 		}

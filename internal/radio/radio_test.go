@@ -277,3 +277,64 @@ func BenchmarkSampleProbes(b *testing.B) {
 		_ = pr.Fwd.SampleProbes(rate, 20)
 	}
 }
+
+// advanceFormula is Advance recomputing its per-dt constants on every
+// call: the referee for the cached form.
+func advanceFormula(c *Channel, dt float64) {
+	if dt <= 0 {
+		return
+	}
+	rho := math.Exp(-dt / c.params.ARTau)
+	c.ar = rho*c.ar + math.Sqrt(1-rho*rho)*c.params.ARSigma*c.rng.NormFloat64()
+	if c.burstLeft > 0 {
+		c.burstLeft -= dt
+		if c.burstLeft <= 0 {
+			c.burstLeft = 0
+			c.burstPenalty = 0
+		}
+	}
+	if c.burstLeft == 0 && c.burstRate > 0 {
+		if c.rng.Bool(1 - math.Exp(-c.burstRate*dt)) {
+			c.burstLeft = c.params.BurstMeanDur * (0.3 + c.rng.ExpFloat64())
+			c.burstPenalty = c.rng.Range(c.params.BurstPenaltyLo, c.params.BurstPenaltyHi)
+		}
+	}
+}
+
+// TestAdvanceCacheMatchesRecompute: Advance's cached per-dt constants
+// follow a dt that changes between calls, and the channel state stays
+// bit-identical to recomputing them every call.
+func TestAdvanceCacheMatchesRecompute(t *testing.T) {
+	p := DefaultParams(Indoor)
+	p.BurstProneFrac = 1 // every channel bursts, so the burst draw runs
+	dts := []float64{300, 300, 40, 40, 300, 1e-3, 0, 300, -5, 7200, 40, 300}
+	for seed := uint64(1); seed <= 8; seed++ {
+		cached := NewPair(rng.New(seed), 30, p).Fwd
+		ref := NewPair(rng.New(seed), 30, p).Fwd
+		for round := 0; round < 20; round++ {
+			for _, dt := range dts {
+				cached.Advance(dt)
+				advanceFormula(ref, dt)
+				if math.Float64bits(cached.ar) != math.Float64bits(ref.ar) ||
+					math.Float64bits(cached.burstLeft) != math.Float64bits(ref.burstLeft) ||
+					math.Float64bits(cached.burstPenalty) != math.Float64bits(ref.burstPenalty) {
+					t.Fatalf("seed %d round %d dt %v: cached Advance diverged: ar %v/%v burst %v/%v penalty %v/%v",
+						seed, round, dt, cached.ar, ref.ar, cached.burstLeft, ref.burstLeft, cached.burstPenalty, ref.burstPenalty)
+				}
+				if dt <= 0 {
+					continue
+				}
+				rho := math.Exp(-dt / p.ARTau)
+				want := advanceStep{
+					dt:    dt,
+					rho:   rho,
+					innov: math.Sqrt(1-rho*rho) * p.ARSigma,
+					burst: 1 - math.Exp(-cached.burstRate*dt),
+				}
+				if cached.step != want {
+					t.Fatalf("seed %d dt %v: cached constants %+v, recomputed %+v", seed, dt, cached.step, want)
+				}
+			}
+		}
+	}
+}

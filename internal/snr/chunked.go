@@ -12,10 +12,10 @@ package snr
 // The chunk contract, shared by every accumulator here: chunks arrive in
 // section order; one network's chunks are consecutive; and a directed
 // link's samples never split across chunks. A whole network is always a
-// valid chunk (ForEachSampleGroup, the streaming walk's per-network
-// flatten), and wire.SampleGroups splits huge networks into smaller
-// chunks at link boundaries so no single network's samples ever need to
-// be resident at once. A chunk reaches the cores as a GroupView (view.go),
+// valid chunk (ForEachSampleGroup), and both wire.SampleGroups and a
+// walk's FlattenChunks split large networks into chunks of about
+// ChunkRows samples at link boundaries, so no single network's samples
+// ever need to be resident at once. A chunk reaches the cores as a GroupView (view.go),
 // built once by the feeding goroutine and read by every core. An
 // accumulator may keep a reference to the most recently observed view
 // until the next ObserveGroup or Finalize call (the held-first-chunk fast

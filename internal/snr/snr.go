@@ -92,6 +92,74 @@ func flattenNetwork(out []Sample, flat []float64, off int, nd *dataset.NetworkDa
 	return out, off
 }
 
+// ChunkRows is the target size, in samples, of a link-aligned sub-chunk:
+// the unit in which a network too large to hold whole reaches the
+// chunked §4 cores, both from a file's flat-sample section (wire) and
+// from a walk that flattens each network (FlattenChunks). Chunks split
+// only where a new directed link begins (the chunk contract in
+// chunked.go), so a chunk can exceed ChunkRows by at most one link's
+// samples. A var so tests can lower it, to a positive value, to
+// exercise the splitting on small fleets.
+var ChunkRows = 1 << 15
+
+// FlattenChunks flattens one network's probe sets, link by link, into
+// link-aligned chunks of about ChunkRows samples and hands each to fn in
+// order; concatenated, the chunks are exactly Flatten's samples for the
+// network. Every call gets at least one chunk (an empty one for a network
+// without samples). Each chunk has its own backing arrays, never reused,
+// because a chunked core may keep a reference to the last chunk it
+// observed. fn errors abort the walk.
+func FlattenChunks(nd *dataset.NetworkData, fn func(chunk []Sample) error) error {
+	band, err := nd.Band()
+	if err != nil {
+		return err
+	}
+	nr := len(band.Rates)
+	size := ChunkRows
+	// left counts the probe sets not yet flattened: it bounds every
+	// allocation by what the network can still yield.
+	left := 0
+	for _, l := range nd.Links {
+		left += len(l.Sets)
+	}
+	var chunk []Sample
+	var flat []float64
+	emitted := false
+	for _, l := range nd.Links {
+		if len(chunk) >= size {
+			if err := fn(chunk); err != nil {
+				return err
+			}
+			chunk, emitted = nil, true
+		}
+		for i := range l.Sets {
+			if len(flat) < nr {
+				flat = make([]float64, min(left, size)*nr)
+			}
+			if chunk == nil {
+				chunk = make([]Sample, 0, min(left, size))
+			}
+			left--
+			ps := &l.Sets[i]
+			row := flat[:nr:nr]
+			popt, best, ok := FlattenSet(row, ps, band)
+			if !ok {
+				continue
+			}
+			flat = flat[nr:]
+			chunk = append(chunk, Sample{
+				Net: nd.Info.Name, From: l.From, To: l.To,
+				T: ps.T, SNR: int(ps.SNR),
+				Tput: row, Popt: popt, BestTput: best,
+			})
+		}
+	}
+	if len(chunk) > 0 || !emitted {
+		return fn(chunk)
+	}
+	return nil
+}
+
 // FlattenSet is the per-probe-set kernel behind every flattened sample:
 // it writes the set's throughput per band rate index into row (len
 // ≥ the band's rate count, all zero on entry) and returns the optimal

@@ -2,6 +2,7 @@ package snr
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -91,6 +92,81 @@ func TestFlattenEmpty(t *testing.T) {
 	got, err := Flatten(nil)
 	if err != nil || got != nil {
 		t.Fatalf("Flatten(nil) = %v, %v", got, err)
+	}
+}
+
+// TestFlattenChunks: a network flattened in chunks yields Flatten's
+// samples, in link-aligned chunks of at least ChunkRows samples (but the
+// last) and at most ChunkRows plus one link's run.
+func TestFlattenChunks(t *testing.T) {
+	root := rng.New(99)
+	topo, err := topology.Generate(root.Split("topo"), topology.Config{Name: "chunky", Size: 12, Env: topology.EnvIndoor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := mesh.Build(root.Split("mesh"), topo, phy.BandBG, mesh.BuildOptions{})
+	nd := probe.Collect(root.Split("probe"), net, probe.Config{Duration: 2 * 3600, ReportInterval: 300})
+	want, err := Flatten([]*dataset.NetworkData{nd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, l := range nd.Links {
+		longest = max(longest, len(l.Sets))
+	}
+	defer func(old int) { ChunkRows = old }(ChunkRows)
+	for _, size := range []int{1, 7, 100, len(want), 1 << 15} {
+		ChunkRows = size
+		var chunks [][]Sample
+		if err := FlattenChunks(nd, func(c []Sample) error {
+			chunks = append(chunks, c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got []Sample
+		for i, c := range chunks {
+			if len(c) == 0 || len(c) > size+longest || (i < len(chunks)-1 && len(c) < size) {
+				t.Fatalf("size %d: chunk %d of %d holds %d samples", size, i, len(chunks), len(c))
+			}
+			if i > 0 {
+				prev := chunks[i-1][len(chunks[i-1])-1]
+				if prev.From == c[0].From && prev.To == c[0].To {
+					t.Fatalf("size %d: link %d>%d splits across chunks %d and %d", size, c[0].From, c[0].To, i-1, i)
+				}
+			}
+			got = append(got, c...)
+		}
+		if size >= len(want) && len(chunks) != 1 {
+			t.Fatalf("size %d: %d chunks for a %d-sample network", size, len(chunks), len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: concatenated chunks diverge from Flatten", size)
+		}
+	}
+
+	// A network without samples still yields one (empty) chunk, as it
+	// yields one empty group in a file's flat-sample section.
+	silent := &dataset.NetworkData{
+		Info: dataset.NetworkInfo{Name: "quiet", Band: "bg", APs: make([]dataset.APInfo, 2)},
+		Links: []*dataset.Link{{From: 0, To: 1, Sets: []dataset.ProbeSet{
+			{T: 300, Obs: []dataset.Obs{{RateIdx: 0, Loss: 1}}},
+		}}},
+	}
+	ChunkRows = 1
+	calls := 0
+	if err := FlattenChunks(silent, func(c []Sample) error {
+		calls++
+		if len(c) != 0 {
+			t.Fatalf("silent network flattened to %d samples", len(c))
+		}
+		return nil
+	}); err != nil || calls != 1 {
+		t.Fatalf("silent network: %d chunks, err %v; want one empty chunk", calls, err)
+	}
+	bad := &dataset.NetworkData{Info: dataset.NetworkInfo{Name: "bad", Band: "zz"}}
+	if err := FlattenChunks(bad, func([]Sample) error { return nil }); err == nil {
+		t.Fatal("unknown band should error")
 	}
 }
 

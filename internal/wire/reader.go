@@ -822,7 +822,7 @@ func (r *Reader) produceSampleGroups(ordered, work chan<- *sampleGroupJob, quit 
 				rd.discard(int64(n) * int64(rowLen))
 				continue
 			}
-			if n > directDecodeRows {
+			if n > directDecodeRows() {
 				// Huge groups (the reference fleet's largest network alone
 				// holds ~70% of all samples) skip both the raw staging
 				// buffer and the single-delivery contract: the producer
@@ -896,20 +896,10 @@ func (r *Reader) produceSampleGroups(ordered, work chan<- *sampleGroupJob, quit 
 // from staged whole-group decoding to inline, link-aligned sub-chunk
 // streaming: past this many rows the group itself — not the tables the
 // §4 accumulators train from it — would dominate the §4 path's memory.
-// A var so tests can lower it to exercise the splitting on small fleets.
-var directDecodeRows = 1 << 16
-
-// subChunkRows is the target sub-chunk size of the inline path: half the
-// direct-decode threshold, so splitting always engages when the inline
-// path does. Chunks split only where a new directed link begins (the §4
-// accumulators' chunk contract), so a chunk can exceed this by at most
-// one link's run.
-func subChunkRows() int {
-	if n := directDecodeRows / 2; n > 0 {
-		return n
-	}
-	return 1
-}
+// It is twice the sub-chunk size (snr.ChunkRows, which tests lower to
+// exercise the splitting on small fleets), so splitting always engages
+// when the inline path does.
+func directDecodeRows() int { return 2 * snr.ChunkRows }
 
 // produceSampleChunks decodes one huge group straight off the stream and
 // emits it as link-aligned sub-chunks: peak memory is one sub-chunk plus
@@ -934,7 +924,7 @@ func (r *Reader) produceSampleChunks(ordered chan<- *sampleGroupJob, quit <-chan
 			return false
 		}
 	}
-	chunkRows := subChunkRows()
+	chunkRows := snr.ChunkRows
 	samples := make([]snr.Sample, 0, chunkRows)
 	// Tput backing arrays are allocated in bounded blocks as rows are
 	// actually read, so a corrupt count backed by a lying section length

@@ -207,7 +207,8 @@ func BenchmarkSampleGroupsDecode(b *testing.B) {
 	}
 }
 
-// TestSampleGroupsSubChunking: with the direct-decode threshold lowered,
+// TestSampleGroupsSubChunking: with the sub-chunk size (and so the
+// direct-decode threshold, twice it) lowered,
 // big groups stream as multiple consecutive link-aligned chunks — a
 // link's run never splits, networks stay contiguous, and the
 // concatenated content equals the unsplit walk at any worker count.
@@ -215,9 +216,9 @@ func TestSampleGroupsSubChunking(t *testing.T) {
 	_, v2s, _ := encodeVariants(t, quickFleet(t))
 	whole := groupWalk(t, v2s, 2)
 
-	old := directDecodeRows
-	directDecodeRows = 64
-	defer func() { directDecodeRows = old }()
+	old := snr.ChunkRows
+	snr.ChunkRows = 32
+	defer func() { snr.ChunkRows = old }()
 
 	split := groupWalk(t, v2s, 2)
 	if len(split) <= len(whole) {

@@ -338,6 +338,10 @@ type StreamSummary struct {
 	// MaxLiveNetworks is the largest number of decoded networks the
 	// pipeline held at once: the walk's raw-data memory bound.
 	MaxLiveNetworks int
+	// MaxSampleGroup is the most §4 samples fed to the experiments at
+	// once — one flat-sample group, or one link-aligned chunk of a
+	// network the walk flattened: the §4 path's sample-memory bound.
+	MaxSampleGroup int
 }
 
 // StreamFleet runs experiments — the full suite in paper order when no
@@ -423,16 +427,15 @@ func EachSampleGroup(path string, workers int, fn func(band, net string, samples
 	return src.feed(flattener(fn))
 }
 
-// flattener is a sink that flattens each network's §4 samples into fn
-// and drops client logs.
+// flattener is a sink that flattens each network's §4 samples into fn,
+// as link-aligned chunks of snr.ChunkRows samples (the groups a file's
+// flat-sample section yields for a huge network), and drops client logs.
 type flattener func(band, net string, samples []snr.Sample) error
 
 func (fn flattener) network(nd *dataset.NetworkData) error {
-	group, err := snr.Flatten([]*dataset.NetworkData{nd})
-	if err != nil {
-		return err
-	}
-	return fn(nd.Info.Band, nd.Info.Name, group)
+	return snr.FlattenChunks(nd, func(chunk []snr.Sample) error {
+		return fn(nd.Info.Band, nd.Info.Name, chunk)
+	})
 }
 
 func (flattener) clients(*dataset.ClientData) error { return nil }

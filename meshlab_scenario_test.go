@@ -17,6 +17,7 @@ import (
 	"meshlab/internal/atomicio"
 	"meshlab/internal/scenario"
 	"meshlab/internal/scenario/e2e"
+	"meshlab/internal/snr"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/scenarios goldens from the current run")
@@ -95,6 +96,52 @@ func TestScenarioE2EGoldens(t *testing.T) {
 			if string(reports[0]) != string(want) {
 				t.Fatalf("%s: converged report differs from golden %s\n--- got ---\n%s\n--- want ---\n%s",
 					name, golden, reports[0], want)
+			}
+		})
+	}
+}
+
+// TestScenarioSubChunkedGoldens: with the §4 sub-chunk size lowered far
+// below the scenarios' network sample counts, networks reach the §4 cores in
+// link-aligned chunks on every path — flattened on the walk (generated,
+// in-memory) and decoded from the flat-sample section (streamed) — and
+// every scenario must still render its golden.
+func TestScenarioSubChunkedGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite per scenario and variant")
+	}
+	defer func(old int) { snr.ChunkRows = old }(snr.ChunkRows)
+	snr.ChunkRows = 100
+	for _, name := range scenario.Names() {
+		if name == "reference" {
+			continue // covered at reference scale by the guardrail workflow
+		}
+		t.Run(name, func(t *testing.T) {
+			sp, err := scenario.Builtin(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(scenarioGoldenPath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := e2e.New(t.TempDir())
+			h.Workers = 2
+			dataset, err := h.Synthesize(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []e2e.Variant{e2e.Streamed(), e2e.InMemory(), e2e.Generated()} {
+				r := h.Start(sp, dataset, v)
+				t.Cleanup(r.Wait)
+				got, err := h.WaitConverged(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("%s with %d-sample chunks: report differs from the golden\n--- got ---\n%s\n--- want ---\n%s",
+						v.Name, snr.ChunkRows, got, want)
+				}
 			}
 		})
 	}

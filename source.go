@@ -346,6 +346,7 @@ func analyze(src *source, so StreamOptions, ids []string) ([]*Result, *StreamSum
 	// error to release the worker goroutines.
 	results, finErr := sc.Finalize()
 	_, e.sum.MaxLiveNetworks = sc.Stats()
+	e.sum.MaxSampleGroup = sc.MaxSampleGroup()
 	if err != nil {
 		return nil, nil, err
 	}
