@@ -49,9 +49,10 @@ type ProbeSet struct {
 	// the window (Figure 3.1's quantity).
 	SNRStd float32 `json:"d"`
 	// Obs holds one entry per probed bit rate. It is read-only: within a
-	// network, the wire decoder hands every set with bit-identical
-	// observations the same row (len == cap, so an append copies), and
-	// writing through one set would change all of them.
+	// network, the wire decoder and the probe collector hand every set
+	// with bit-identical observations the same row (len == cap, so an
+	// append copies), and writing through one set would change all of
+	// them.
 	Obs []Obs `json:"o"`
 }
 

@@ -24,7 +24,9 @@
 package probe
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"meshlab/internal/conc"
@@ -144,6 +146,7 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 	}
 	// sample draws step's probe sets from b on the calling goroutine.
 	scratch := make([]dataset.Obs, nr)
+	rows := newObsRows(nr)
 	sample := func(b *stepBuf, step int) {
 		t := int32(float64(step) * cfg.ReportInterval)
 		for pi, lp := range net.Pairs {
@@ -153,7 +156,7 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 					from, to = lp.J, lp.I
 				}
 				di := 2*pi + dir
-				ps, ok := sampleProbeSet(cr, b.probs[di*nr:(di+1)*nr], b.slow[di], consts[di], t, cfg.ProbesPerRate, scratch)
+				ps, ok := sampleProbeSet(cr, b.probs[di*nr:(di+1)*nr], b.slow[di], consts[di], t, cfg.ProbesPerRate, scratch, rows)
 				if !ok {
 					continue
 				}
@@ -243,8 +246,9 @@ func newLinkConsts(ch *radio.Channel) linkConsts {
 // heard this window). probs carries the channel's per-rate delivery
 // probabilities and slow its slow SNR deviation, both from Collect's
 // parallel phase; n is the number of probes per rate. scratch (one
-// entry per rate) stages the observations.
-func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts, t int32, n int, scratch []dataset.Obs) (dataset.ProbeSet, bool) {
+// entry per rate) stages the observations, and a heard set takes its row
+// from rows.
+func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts, t int32, n int, scratch []dataset.Obs, rows *obsRows) (dataset.ProbeSet, bool) {
 	received := 0
 	for ri, p := range probs {
 		k := binomialApprox(r, n, p)
@@ -257,10 +261,7 @@ func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts,
 	if received == 0 {
 		return dataset.ProbeSet{}, false
 	}
-	// Most windows of a large network hear nothing; only a heard one
-	// allocates its observations, at their exact size.
-	ps := dataset.ProbeSet{T: t, Obs: make([]dataset.Obs, len(probs))}
-	copy(ps.Obs, scratch)
+	ps := dataset.ProbeSet{T: t, Obs: rows.intern(scratch)}
 
 	// Median reported SNR over the window's received probes: the sample
 	// median of ~n noisy readings around the slow link SNR. Its sampling
@@ -280,6 +281,34 @@ func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts,
 	}
 	ps.SNRStd = float32(std)
 	return ps, true
+}
+
+// obsRows interns one collection's observation rows. A row is a function
+// of its per-rate received counts, and a large network's heard windows
+// repeat a small set of rows, so sets with equal observations share one
+// read-only row (len == cap), as sets from wire.Reader.Decode do: the
+// network holds one row per distinct row, not one per window.
+type obsRows struct {
+	key  []byte
+	rows map[string][]dataset.Obs
+}
+
+func newObsRows(rates int) *obsRows {
+	return &obsRows{key: make([]byte, 4*rates), rows: make(map[string][]dataset.Obs)}
+}
+
+// intern returns the shared row equal to obs, adding a copy on first
+// sight. Rows are keyed by their losses: entry ri always has RateIdx ri.
+func (o *obsRows) intern(obs []dataset.Obs) []dataset.Obs {
+	for i, ob := range obs {
+		binary.LittleEndian.PutUint32(o.key[4*i:], math.Float32bits(ob.Loss))
+	}
+	if row, ok := o.rows[string(o.key)]; ok {
+		return row
+	}
+	row := slices.Clone(obs)[:len(obs):len(obs)]
+	o.rows[string(o.key)] = row
+	return row
 }
 
 // binomialApprox draws from Binomial(n, p) via the normal approximation,

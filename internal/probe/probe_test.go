@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -281,5 +282,33 @@ func TestCollectNoSteps(t *testing.T) {
 	nd := collect(t, 78, 6, Config{Duration: 100, ReportInterval: 300})
 	if len(nd.Links) != 0 {
 		t.Fatalf("%d links collected in zero steps", len(nd.Links))
+	}
+}
+
+// TestCollectSharesObservationRows: heard sets with equal observations
+// share one read-only row (len == cap), and distinct rows differ.
+func TestCollectSharesObservationRows(t *testing.T) {
+	nd := collect(t, 79, 12, Config{Duration: 4 * 3600, ReportInterval: 300})
+	rows := map[*dataset.Obs][]dataset.Obs{}
+	sets := 0
+	for _, l := range nd.Links {
+		for _, ps := range l.Sets {
+			sets++
+			if len(ps.Obs) != cap(ps.Obs) {
+				t.Fatalf("row len %d cap %d: an append would write into a shared row", len(ps.Obs), cap(ps.Obs))
+			}
+			rows[&ps.Obs[0]] = ps.Obs
+		}
+	}
+	seen := map[string]bool{}
+	for _, row := range rows {
+		key := fmt.Sprint(row)
+		if seen[key] {
+			t.Fatalf("row %v is held twice", row)
+		}
+		seen[key] = true
+	}
+	if len(rows) >= sets {
+		t.Fatalf("%d distinct rows for %d sets: rows are not shared", len(rows), sets)
 	}
 }
