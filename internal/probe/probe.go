@@ -287,7 +287,7 @@ func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts,
 // of its per-rate received counts, and a large network's heard windows
 // repeat a small set of rows, so sets with equal observations share one
 // read-only row (len == cap), as sets from wire.Reader.Decode do: the
-// network holds one row per distinct row, not one per window.
+// network holds one copy of each distinct row, not one per window.
 type obsRows struct {
 	key  []byte
 	rows map[string][]dataset.Obs
