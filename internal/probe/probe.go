@@ -24,9 +24,8 @@
 package probe
 
 import (
-	"encoding/binary"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"meshlab/internal/conc"
@@ -145,8 +144,8 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 		})
 	}
 	// sample draws step's probe sets from b on the calling goroutine.
-	scratch := make([]dataset.Obs, nr)
-	rows := newObsRows(nr)
+	counts := make([]int, nr)
+	rows := newObsRows(nr, cfg.ProbesPerRate)
 	sample := func(b *stepBuf, step int) {
 		t := int32(float64(step) * cfg.ReportInterval)
 		for pi, lp := range net.Pairs {
@@ -156,7 +155,7 @@ func Collect(r *rng.Stream, net *mesh.Net, cfg Config) *dataset.NetworkData {
 					from, to = lp.J, lp.I
 				}
 				di := 2*pi + dir
-				ps, ok := sampleProbeSet(cr, b.probs[di*nr:(di+1)*nr], b.slow[di], consts[di], t, cfg.ProbesPerRate, scratch, rows)
+				ps, ok := sampleProbeSet(cr, b.probs[di*nr:(di+1)*nr], b.slow[di], consts[di], t, cfg.ProbesPerRate, counts, rows)
 				if !ok {
 					continue
 				}
@@ -245,23 +244,20 @@ func newLinkConsts(ch *radio.Channel) linkConsts {
 // ok=false when no probe at any rate was received (the neighbor was not
 // heard this window). probs carries the channel's per-rate delivery
 // probabilities and slow its slow SNR deviation, both from Collect's
-// parallel phase; n is the number of probes per rate. scratch (one
-// entry per rate) stages the observations, and a heard set takes its row
-// from rows.
-func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts, t int32, n int, scratch []dataset.Obs, rows *obsRows) (dataset.ProbeSet, bool) {
+// parallel phase; n is the number of probes per rate. counts (one entry
+// per rate) stages the received counts, and a heard set takes its
+// observation row from rows.
+func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts, t int32, n int, counts []int, rows *obsRows) (dataset.ProbeSet, bool) {
 	received := 0
 	for ri, p := range probs {
 		k := binomialApprox(r, n, p)
 		received += k
-		scratch[ri] = dataset.Obs{
-			RateIdx: uint8(ri),
-			Loss:    float32(1 - float64(k)/float64(n)),
-		}
+		counts[ri] = k
 	}
 	if received == 0 {
 		return dataset.ProbeSet{}, false
 	}
-	ps := dataset.ProbeSet{T: t, Obs: rows.intern(scratch)}
+	ps := dataset.ProbeSet{T: t, Obs: rows.row(counts)}
 
 	// Median reported SNR over the window's received probes: the sample
 	// median of ~n noisy readings around the slow link SNR. Its sampling
@@ -283,31 +279,51 @@ func sampleProbeSet(r *rng.Stream, probs []float64, slow float64, lc linkConsts,
 	return ps, true
 }
 
-// obsRows interns one collection's observation rows. A row is a function
-// of its per-rate received counts, and a large network's heard windows
+// obsRows builds one collection's observation rows from per-rate
+// received counts, interning them: a large network's heard windows
 // repeat a small set of rows, so sets with equal observations share one
-// read-only row (len == cap), as sets from wire.Reader.Decode do: the
+// read-only row (len == cap), as sets from wire.Reader.Decode do, and the
 // network holds one copy of each distinct row, not one per window.
 type obsRows struct {
-	key  []byte
-	rows map[string][]dataset.Obs
+	n int
+	// width is the bits a count takes in a key; rows is nil when a
+	// collection's counts do not fit the 128-bit key, and then every
+	// row is built afresh.
+	width int
+	rows  map[[2]uint64][]dataset.Obs
 }
 
-func newObsRows(rates int) *obsRows {
-	return &obsRows{key: make([]byte, 4*rates), rows: make(map[string][]dataset.Obs)}
+func newObsRows(rates, n int) *obsRows {
+	o := &obsRows{n: n, width: bits.Len(uint(n))}
+	if rates <= 2*(64/o.width) {
+		o.rows = make(map[[2]uint64][]dataset.Obs)
+	}
+	return o
 }
 
-// intern returns the shared row equal to obs, adding a copy on first
-// sight. Rows are keyed by their losses: entry ri always has RateIdx ri.
-func (o *obsRows) intern(obs []dataset.Obs) []dataset.Obs {
-	for i, ob := range obs {
-		binary.LittleEndian.PutUint32(o.key[4*i:], math.Float32bits(ob.Loss))
+// row returns the observation row of counts: entry ri has RateIdx ri and
+// the loss of counts[ri] received probes out of n.
+func (o *obsRows) row(counts []int) []dataset.Obs {
+	var key [2]uint64
+	if o.rows != nil {
+		per := 64 / o.width
+		for i, k := range counts {
+			key[i/per] |= uint64(k) << (uint(i%per) * uint(o.width))
+		}
+		if row, ok := o.rows[key]; ok {
+			return row
+		}
 	}
-	if row, ok := o.rows[string(o.key)]; ok {
-		return row
+	row := make([]dataset.Obs, len(counts))
+	for ri, k := range counts {
+		row[ri] = dataset.Obs{
+			RateIdx: uint8(ri),
+			Loss:    float32(1 - float64(k)/float64(o.n)),
+		}
 	}
-	row := slices.Clone(obs)[:len(obs):len(obs)]
-	o.rows[string(o.key)] = row
+	if o.rows != nil {
+		o.rows[key] = row
+	}
 	return row
 }
 

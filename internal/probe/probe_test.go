@@ -286,7 +286,8 @@ func TestCollectNoSteps(t *testing.T) {
 }
 
 // TestCollectSharesObservationRows: heard sets with equal observations
-// share one read-only row (len == cap), and distinct rows differ.
+// share one read-only row (len == cap), and distinct rows differ; counts
+// too wide to key are never shared.
 func TestCollectSharesObservationRows(t *testing.T) {
 	nd := collect(t, 79, 12, Config{Duration: 4 * 3600, ReportInterval: 300})
 	rows := map[*dataset.Obs][]dataset.Obs{}
@@ -310,5 +311,28 @@ func TestCollectSharesObservationRows(t *testing.T) {
 	}
 	if len(rows) >= sets {
 		t.Fatalf("%d distinct rows for %d sets: rows are not shared", len(rows), sets)
+	}
+
+	// Counts too wide for the 128-bit key (21 bits × 7 rates) build each
+	// row afresh: same losses, nothing shared.
+	const n = 1 << 20
+	wide := collect(t, 79, 8, Config{Duration: 3600, ReportInterval: 300, ProbesPerRate: n})
+	seenRows := map[*dataset.Obs]bool{}
+	for _, l := range wide.Links {
+		for _, ps := range l.Sets {
+			if len(ps.Obs) != cap(ps.Obs) || seenRows[&ps.Obs[0]] {
+				t.Fatal("a wide-count row is shared or has spare capacity")
+			}
+			seenRows[&ps.Obs[0]] = true
+			for _, o := range ps.Obs {
+				k := math.Round((1 - float64(o.Loss)) * n)
+				if float32(1-k/n) != o.Loss {
+					t.Fatalf("loss %v is not a count out of %d", o.Loss, n)
+				}
+			}
+		}
+	}
+	if len(seenRows) == 0 {
+		t.Fatal("no sets collected with wide counts")
 	}
 }
