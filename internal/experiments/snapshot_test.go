@@ -297,6 +297,48 @@ func TestStreamSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
+// sectionlessSnapshotDigests are the sha256 digests of a quick-fleet
+// section-less run's StreamContext snapshot (no DeferSamples: the walk
+// flattens and feeds each network's samples itself): at the network
+// boundary halfway through the fleet, and after the last network. Unlike
+// streamSnapshotDigests, they hold partial §3/§5/§6 state.
+var sectionlessSnapshotDigests = [2]string{
+	"f7ab8660c1b5a24a4f7862d02a82c7de67e9ec84638e38cb38ee4a91f42d91dc",
+	"b013e26fb23fc39bf3055200944760c6438f96621f349b7dbee8509edcf6e2d7",
+}
+
+// TestStreamSnapshotSectionlessBytesPinned pins the whole-context
+// checkpoint bytes of a section-less walk, halfway through the fleet and
+// at its end.
+func TestStreamSnapshotSectionlessBytesPinned(t *testing.T) {
+	f := quickFleet(t)
+	sc := NewStreamContext(2)
+	defer sc.Drain()
+	var got [2]string
+	snap := func(k int) {
+		var buf bytes.Buffer
+		if err := sc.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[k] = hex.EncodeToString(sum[:])
+	}
+	for i, nd := range f.Networks {
+		if i == len(f.Networks)/2 {
+			snap(0)
+		}
+		if err := sc.Observe(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap(1)
+	for k, at := range []string{"mid-walk", "end of walk"} {
+		if got[k] != sectionlessSnapshotDigests[k] {
+			t.Errorf("%s: snapshot digest %s, pinned %s", at, got[k], sectionlessSnapshotDigests[k])
+		}
+	}
+}
+
 // linkCut returns the first directed-link boundary at or after the middle
 // of g, or 0 when g has no boundary there.
 func linkCut(g []snr.Sample) int {
