@@ -125,6 +125,14 @@ func NewReader(r io.Reader) *Reader {
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Check folds an external error (a nested decoder's, or a failed
+// validation of a decoded value) into the sticky state.
+func (r *Reader) Check(err error) {
+	if r.err == nil && err != nil {
+		r.err = err
+	}
+}
+
 // Len returns the bytes the source can still yield, or -1 when unknown —
 // so a nested NewReader over this one inherits the limit.
 func (r *Reader) Len() int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/dataset"
 	"meshlab/internal/stats"
 	"meshlab/internal/textplot"
@@ -20,6 +21,10 @@ func init() {
 // series independently, so the census streams.
 type fig31Acc struct {
 	probeStds, linkStds, netStds []float64
+}
+
+func (a *fig31Acc) state() []binio.Cell {
+	return []binio.Cell{binio.Floats(&a.probeStds), binio.Floats(&a.linkStds), binio.Floats(&a.netStds)}
 }
 
 func (a *fig31Acc) observe(nv *NetView) error {

@@ -51,6 +51,8 @@ type fig41Acc struct {
 	sets *snr.RateSetAccum
 }
 
+func (a *fig41Acc) state() []binio.Cell { return []binio.Cell{binio.Core(&a.sets)} }
+
 func (a *fig41Acc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band == "bg" {
 		a.sets.ObserveGroup(v)
@@ -110,6 +112,15 @@ func newCoverageAcc(band string, phyBand phy.Band, note string) *coverageAcc {
 	return a
 }
 
+// state lists the scope count, then each scope's core.
+func (a *coverageAcc) state() []binio.Cell {
+	cells := []binio.Cell{binio.Param("scopes", len(a.scope), binio.IntCodec)}
+	for i := range a.scope {
+		cells = append(cells, binio.Core(&a.scope[i]))
+	}
+	return cells
+}
+
 func (a *coverageAcc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band != a.band {
 		return nil
@@ -161,38 +172,22 @@ func (a *coverageAcc) finalize(*StreamContext) (*Result, error) {
 // quantile row is computed without ever materializing a per-sample Diffs
 // slice.
 type fig44Acc struct {
-	bands []fig44Band
-}
-
-type fig44Band struct {
-	name string
-	acc  *snr.PenaltyAccum
-	seen int
+	bandCores[*snr.PenaltyAccum]
 }
 
 func newFig44Acc() *fig44Acc {
-	return &fig44Acc{bands: []fig44Band{
+	return &fig44Acc{bandCores: bandCores[*snr.PenaltyAccum]{
 		{name: "bg", acc: snr.NewPenaltyAccum(len(phy.BandBG.Rates), snr.Scopes)},
 		{name: "n", acc: snr.NewPenaltyAccum(len(phy.BandN.Rates), snr.Scopes)},
 	}}
-}
-
-func (a *fig44Acc) observeSampleGroup(band string, v *snr.GroupView) error {
-	for i := range a.bands {
-		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(v)
-			a.bands[i].seen += v.Len()
-		}
-	}
-	return nil
 }
 
 func (a *fig44Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"band", "scope", "exact-hit frac", "median loss", "p75", "p90", "p95", "max (Mbit/s)",
 	}}
-	for i := range a.bands {
-		b := &a.bands[i]
+	for i := range a.bandCores {
+		b := &a.bandCores[i]
 		if b.seen == 0 {
 			continue
 		}
@@ -210,11 +205,51 @@ func (a *fig44Acc) finalize(*StreamContext) (*Result, error) {
 	return res, nil
 }
 
+// bandCore is one band's chunked §4 core and the samples fed to it.
+type bandCore[C sampleCore[C]] struct {
+	name string
+	acc  C
+	seen int
+}
+
+// sampleCore is a chunked §4 core of internal/snr.
+type sampleCore[C any] interface {
+	binio.Mergeable[C]
+	ObserveGroup(*snr.GroupView)
+}
+
+// bandCores is the state and sample feed fig4.4 and ext4.topk share:
+// one core per band, each observing its band's groups.
+type bandCores[C sampleCore[C]] []bandCore[C]
+
+func (bs bandCores[C]) observeSampleGroup(band string, v *snr.GroupView) error {
+	for i := range bs {
+		if bs[i].name == band {
+			bs[i].acc.ObserveGroup(v)
+			bs[i].seen += v.Len()
+		}
+	}
+	return nil
+}
+
+// state lists the band count, then each band's name, samples seen and
+// core.
+func (bs bandCores[C]) state() []binio.Cell {
+	cells := []binio.Cell{binio.Param("bands", len(bs), binio.IntCodec)}
+	for i := range bs {
+		b := &bs[i]
+		cells = append(cells, binio.Param("band", b.name, binio.StringCodec), binio.Counter(&b.seen), binio.Core(&b.acc))
+	}
+	return cells
+}
+
 // fig45Acc reproduces Figure 4.5: median throughput (with quartiles)
 // versus SNR per b/g rate, at 5 dB steps.
 type fig45Acc struct {
 	tput *snr.TputAccum
 }
+
+func (a *fig45Acc) state() []binio.Cell { return []binio.Cell{binio.Core(&a.tput)} }
 
 func (a *fig45Acc) observeSampleGroup(band string, v *snr.GroupView) error {
 	if band == "bg" {
@@ -287,14 +322,7 @@ type strategyReader struct{ replay *strategyReplay }
 
 func (r *strategyReader) shareReplay(p *strategyReplay) { r.replay = p }
 
-func (r *strategyReader) snapshot(w *binio.Writer) { w.Check(r.replay.acc.Snapshot(w)) }
-
-func (r *strategyReader) restore(br *binio.Reader) error {
-	if err := r.replay.restore(br); err != nil {
-		return err
-	}
-	return br.Err()
-}
+func (r *strategyReader) state() []binio.Cell { return []binio.Cell{replayCell{r.replay}} }
 
 // fig46Acc reproduces Figure 4.6: prediction accuracy versus probe sets
 // seen, for the four online strategies.

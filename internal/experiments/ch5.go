@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/dataset"
 	"meshlab/internal/phy"
 	"meshlab/internal/routing"
@@ -41,6 +42,15 @@ type fig51Acc struct {
 	nets        int
 	imps        map[impKey][]float64
 	none, small map[impKey]int
+}
+
+func (a *fig51Acc) state() []binio.Cell {
+	return []binio.Cell{
+		binio.Counter(&a.nets),
+		binio.ListMap(&a.imps, impKeyCodec, binio.FloatCodec),
+		binio.CountMap(&a.none, impKeyCodec),
+		binio.CountMap(&a.small, impKeyCodec),
+	}
 }
 
 func newFig51Acc() *fig51Acc {
@@ -115,6 +125,10 @@ type fig52Acc struct {
 	ratios map[int][]float64
 }
 
+func (a *fig52Acc) state() []binio.Cell {
+	return []binio.Cell{binio.ListMap(&a.ratios, binio.IntCodec, binio.FloatCodec)}
+}
+
 func (a *fig52Acc) observe(nv *NetView) error {
 	if nv.Data().Info.Band != "bg" {
 		return nil
@@ -163,6 +177,10 @@ type fig53Acc struct {
 	hops map[int][]float64
 }
 
+func (a *fig53Acc) state() []binio.Cell {
+	return []binio.Cell{binio.ListMap(&a.hops, binio.IntCodec, binio.FloatCodec)}
+}
+
 func (a *fig53Acc) observe(nv *NetView) error {
 	if !routable(nv.Data()) {
 		return nil
@@ -204,6 +222,10 @@ func (a *fig53Acc) finalize(*StreamContext) (*Result, error) {
 // path length, aggregated over all b/g rates under ETX1.
 type fig54Acc struct {
 	byHops map[int][]float64
+}
+
+func (a *fig54Acc) state() []binio.Cell {
+	return []binio.Cell{binio.ListMap(&a.byHops, binio.IntCodec, binio.FloatCodec)}
 }
 
 func (a *fig54Acc) observe(nv *NetView) error {
@@ -269,6 +291,8 @@ type netPoint struct {
 type fig55Acc struct {
 	pts []netPoint
 }
+
+func (a *fig55Acc) state() []binio.Cell { return []binio.Cell{binio.List(&a.pts, netPointCodec)} }
 
 func (a *fig55Acc) observe(nv *NetView) error {
 	nd := nv.Data()

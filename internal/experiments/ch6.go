@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/hidden"
 	"meshlab/internal/phy"
 	"meshlab/internal/stats"
@@ -30,6 +31,8 @@ var abl6tThresholds = []float64{0.05, 0.10, 0.25, 0.50}
 type censusBG struct {
 	results []*hidden.NetworkResult
 }
+
+func (a *censusBG) state() []binio.Cell { return []binio.Cell{binio.List(&a.results, censusCodec)} }
 
 func (a *censusBG) observeAt(nv *NetView, threshold float64) error {
 	if nv.Data().Info.Band != "bg" {
@@ -162,6 +165,10 @@ func (a *sec63Acc) finalize(*StreamContext) (*Result, error) {
 // the hidden-triple results are not sensitive to it.
 type abl6tAcc struct {
 	censuses map[float64][]*hidden.NetworkResult
+}
+
+func (a *abl6tAcc) state() []binio.Cell {
+	return []binio.Cell{binio.ListMap(&a.censuses, binio.FloatCodec, censusCodec)}
 }
 
 func (a *abl6tAcc) observe(nv *NetView) error {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/routing"
 	"meshlab/internal/snr"
 )
@@ -85,20 +86,21 @@ func (r *Result) Format() string {
 }
 
 // accumulator is the streaming decomposition of one experiment: state
-// that grows as data arrives, a merge that folds another accumulator of
-// the same experiment into it, and a finalize that renders the Result
-// from the accumulated state plus the run's fleet-wide state (client
-// data, the §7 mobility analysis). StreamContext is the one executor of
+// that grows as data arrives, and a finalize that renders the Result from
+// the accumulated state plus the run's fleet-wide state (client data, the
+// §7 mobility analysis). StreamContext is the one executor of
 // accumulators, whether its networks come from a dataset file, a shard,
 // or an in-memory fleet.
 //
-// merge(other) must leave the receiver as if it had seen its own data
-// followed by other's. The streaming collector folds one-network partials
-// with it in fleet order, and the shard runner folds whole shards in
-// shard order (merge.go argues why both are exact). merge and finalize
-// are never called concurrently on one accumulator.
+// state lists every field that observe and observeSampleGroup write, as
+// cells pointing into the receiver; merge, snapshot and restore are loops
+// over it (state.go). Merging must leave the receiver as if it had seen
+// its own data followed by the other's. The streaming collector folds
+// one-network partials in fleet order, and the shard runner folds whole
+// shards in shard order. Merges and finalize are never called
+// concurrently on one accumulator.
 type accumulator interface {
-	merge(other accumulator) error
+	state() []binio.Cell
 	finalize(sc *StreamContext) (*Result, error)
 }
 
@@ -147,6 +149,7 @@ type sharedOnly struct {
 	run func(*StreamContext) (*Result, error)
 }
 
+func (sharedOnly) state() []binio.Cell                           { return nil }
 func (s sharedOnly) finalize(sc *StreamContext) (*Result, error) { return s.run(sc) }
 
 // runner executes one experiment: a fresh accumulator per run.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/hidden"
 	"meshlab/internal/mac"
 	"meshlab/internal/phy"
@@ -28,37 +29,21 @@ func init() {
 // chunked core trains and evaluates one network at a time — identical to
 // the batch TopKCoverage by the snr package's oracle.
 type ext4topkAcc struct {
-	bands []ext4topkBand
-}
-
-type ext4topkBand struct {
-	name string
-	acc  *snr.TopKAccum
-	seen int
+	bandCores[*snr.TopKAccum]
 }
 
 func newExt4topkAcc() *ext4topkAcc {
 	ks := []int{1, 2, 3}
-	return &ext4topkAcc{bands: []ext4topkBand{
+	return &ext4topkAcc{bandCores: bandCores[*snr.TopKAccum]{
 		{name: "bg", acc: snr.NewTopKAccum(len(phy.BandBG.Rates), ks)},
 		{name: "n", acc: snr.NewTopKAccum(len(phy.BandN.Rates), ks)},
 	}}
 }
 
-func (a *ext4topkAcc) observeSampleGroup(band string, v *snr.GroupView) error {
-	for i := range a.bands {
-		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(v)
-			a.bands[i].seen += v.Len()
-		}
-	}
-	return nil
-}
-
 func (a *ext4topkAcc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"band", "k", "optimum in top-k", "probing saved", "probe sets"}}
-	for i := range a.bands {
-		b := &a.bands[i]
+	for i := range a.bandCores {
+		b := &a.bandCores[i]
 		if b.seen == 0 {
 			continue
 		}
@@ -79,6 +64,10 @@ func (a *ext4topkAcc) finalize(*StreamContext) (*Result, error) {
 type ext5ettAcc struct {
 	gains    []float64
 	rateWins []int
+}
+
+func (a *ext5ettAcc) state() []binio.Cell {
+	return []binio.Cell{binio.Floats(&a.gains), binio.Counts(&a.rateWins)}
 }
 
 func (a *ext5ettAcc) observe(nv *NetView) error {
@@ -142,6 +131,13 @@ func (a *ext5ettAcc) finalize(*StreamContext) (*Result, error) {
 type ext6macAcc struct {
 	root                 *rng.Stream
 	hiddenPens, openPens []float64
+}
+
+// state leaves out root: the penalties' rng substreams are keyed by
+// (network name, triple index), so root is the same at every network and
+// NewStreamContext rebuilds it.
+func (a *ext6macAcc) state() []binio.Cell {
+	return []binio.Cell{binio.Floats(&a.hiddenPens), binio.Floats(&a.openPens)}
 }
 
 // ext6mac simulation parameters.

@@ -12,7 +12,7 @@ import (
 
 // bandGroups materializes the per-network sample groups a wire walk
 // would deliver to ObserveSampleGroup during a deferred sample phase.
-func bandGroups(t *testing.T, f *dataset.Fleet) []struct {
+func bandGroups(t testing.TB, f *dataset.Fleet) []struct {
 	band    string
 	samples []snr.Sample
 } {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
 	"meshlab/internal/hidden"
@@ -403,7 +404,7 @@ func (s *StreamContext) fold(j *streamJob) error {
 		}
 	}
 	for k, i := range s.measured {
-		if err := s.accs[i].merge(j.partials[k]); err != nil {
+		if err := binio.MergeCells(s.accs[i].state(), j.partials[k].state()); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
 		}
 	}

@@ -199,28 +199,3 @@ func (a *RateSetAccum) Merge(o *RateSetAccum) {
 		}
 	}
 }
-
-// Merge folds another strategy partial into this one. Every persistent
-// field is an integer sum over per-link replays, so the fold commutes.
-// Both accumulators must share numRates and maxX.
-func (a *StrategyAccum) Merge(o *StrategyAccum) {
-	for si := range a.results {
-		res, ores := &a.results[si], &o.results[si]
-		for x := range ores.Hits {
-			res.Hits[x] += ores.Hits[x]
-			res.Total[x] += ores.Total[x]
-		}
-		res.Updates += ores.Updates
-		res.MemEntries += ores.MemEntries
-		res.Skipped += ores.Skipped
-	}
-}
-
-// Merge folds another top-k partial into this one. Both accumulators must
-// share numRates and the same k sequence.
-func (a *TopKAccum) Merge(o *TopKAccum) {
-	for ki := range a.ks {
-		a.hits[ki] += o.hits[ki]
-		a.evaluated[ki] += o.evaluated[ki]
-	}
-}

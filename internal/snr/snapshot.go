@@ -27,9 +27,11 @@ package snr
 // error, never a partial restore that later panics.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"meshlab/internal/binio"
 )
@@ -74,47 +76,30 @@ func readHist(r *binio.Reader, h *diffHist) {
 	h.nan += r.I64()
 }
 
-// writeCells serializes SNR-keyed banked cells in ascending key order.
-func writeCells(w *binio.Writer, nr int, cells map[int]*bankedCell) {
-	keys := make([]int, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		cell := cells[k]
-		w.Int(k)
-		for _, c := range cell.counts {
-			w.I64(c)
-		}
-		for p := range cell.pend {
-			writeHist(w, &cell.pend[p])
-		}
-	}
-}
-
-func readCells(r *binio.Reader, nr int) map[int]*bankedCell {
-	n := r.Count(8)
-	if r.Err() != nil {
-		return nil
-	}
-	cells := make(map[int]*bankedCell, n)
-	for i := 0; i < n; i++ {
-		k := r.Int()
-		cell := &bankedCell{counts: make([]int64, nr), pend: make([]diffHist, nr)}
-		for ri := 0; ri < nr; ri++ {
-			cell.counts[ri] = r.I64()
-		}
-		for p := 0; p < nr; p++ {
-			readHist(r, &cell.pend[p])
-		}
-		if r.Err() != nil {
-			return nil
-		}
-		cells[k] = cell
-	}
-	return cells
+// bankCodec encodes SNR-keyed banked cells in ascending key order: each
+// cell's per-rate counts, then its per-rate pending histograms.
+func bankCodec(nr int) binio.Codec[map[int]*bankedCell] {
+	return binio.MapOf(binio.IntCodec, binio.Codec[*bankedCell]{
+		Min: 24 * nr,
+		Write: func(w *binio.Writer, cell *bankedCell) {
+			for _, c := range cell.counts {
+				w.I64(c)
+			}
+			for p := range cell.pend {
+				writeHist(w, &cell.pend[p])
+			}
+		},
+		Read: func(r *binio.Reader) *bankedCell {
+			cell := &bankedCell{counts: make([]int64, nr), pend: make([]diffHist, nr)}
+			for ri := range cell.counts {
+				cell.counts[ri] = r.I64()
+			}
+			for p := range cell.pend {
+				readHist(r, &cell.pend[p])
+			}
+			return cell
+		},
+	})
 }
 
 // Snapshot serializes the penalty core's partial state. Must be called
@@ -141,7 +126,7 @@ func (a *PenaltyAccum) Snapshot(w io.Writer) error {
 			for _, cell := range st.cells {
 				cell.fold(st.diffs.grid)
 			}
-			writeCells(bw, a.numRates, st.cells)
+			bankCodec(a.numRates).Write(bw, st.cells)
 		}
 	}
 	return bw.Err()
@@ -175,7 +160,7 @@ func (a *PenaltyAccum) Restore(r io.Reader) error {
 		readHist(br, &st.diffs.diffHist)
 		st.exact = br.I64()
 		if st.scope == Global {
-			cells := readCells(br, a.numRates)
+			cells := bankCodec(a.numRates).Read(br)
 			if br.Err() == nil {
 				st.cells = cells
 			}
@@ -190,7 +175,45 @@ func (a *PenaltyAccum) Restore(r io.Reader) error {
 	return nil
 }
 
-// writeTable serializes a count table with fully sorted keys.
+// instKeyCodec encodes a table instance as its network name and the
+// from and to APs, ordered by name, then from, then to.
+var instKeyCodec = binio.Codec[instKey]{
+	Min: 24,
+	Write: func(w *binio.Writer, k instKey) {
+		w.String(k.net)
+		w.I64(int64(k.from))
+		w.I64(int64(k.to))
+	},
+	Read: func(r *binio.Reader) instKey {
+		return instKey{net: r.String(), from: int32(r.I64()), to: int32(r.I64())}
+	},
+	Compare: func(a, b instKey) int {
+		return cmp.Or(cmp.Compare(a.net, b.net), cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	},
+}
+
+// tableCodec encodes a count table's cells: per instance, per SNR, the
+// nr per-rate counts.
+func tableCodec(nr int) binio.Codec[map[instKey]map[int][]int] {
+	return binio.MapOf(instKeyCodec, binio.MapOf(binio.IntCodec, binio.Codec[[]int]{
+		Min: 8 * nr,
+		Write: func(w *binio.Writer, row []int) {
+			for _, c := range row {
+				w.Int(c)
+			}
+		},
+		Read: func(r *binio.Reader) []int {
+			row := make([]int, nr)
+			for ri := range row {
+				row[ri] = r.Int()
+			}
+			return row
+		},
+	}))
+}
+
+// writeTable serializes a count table: its presence, scope and rate
+// count, then its cells.
 func writeTable(w *binio.Writer, t *Table) {
 	w.Bool(t != nil)
 	if t == nil {
@@ -198,39 +221,7 @@ func writeTable(w *binio.Writer, t *Table) {
 	}
 	w.U8(uint8(t.Scope))
 	w.Int(t.NumRates)
-	keys := make([]instKey, 0, len(t.counts))
-	for k := range t.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.net != b.net {
-			return a.net < b.net
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	})
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.String(k.net)
-		w.I64(int64(k.from))
-		w.I64(int64(k.to))
-		inner := t.counts[k]
-		snrs := make([]int, 0, len(inner))
-		for s := range inner {
-			snrs = append(snrs, s)
-		}
-		sort.Ints(snrs)
-		w.Int(len(snrs))
-		for _, s := range snrs {
-			w.Int(s)
-			for _, c := range inner[s] {
-				w.I64(int64(c))
-			}
-		}
-	}
+	tableCodec(t.NumRates).Write(w, t.counts)
 }
 
 // readTable decodes into t, replacing its counts; the stored scope and
@@ -252,34 +243,27 @@ func readTable(r *binio.Reader, t *Table) error {
 	if nr := r.Int(); r.Err() == nil && nr != t.NumRates {
 		return fmt.Errorf("snr: table has %d rates, accumulator %d", nr, t.NumRates)
 	}
-	n := r.Count(8)
-	if err := r.Err(); err != nil {
-		return err
+	if counts := tableCodec(t.NumRates).Read(r); r.Err() == nil {
+		t.counts = counts
 	}
-	counts := make(map[instKey]map[int][]int, n)
-	for i := 0; i < n; i++ {
-		k := instKey{net: r.String(), from: int32(r.I64()), to: int32(r.I64())}
-		m := r.Count(8)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		inner := make(map[int][]int, m)
-		for j := 0; j < m; j++ {
-			s := r.Int()
-			row := make([]int, t.NumRates)
-			for ri := range row {
-				row[ri] = int(r.I64())
-			}
-			if r.Err() != nil {
-				return r.Err()
-			}
-			inner[s] = row
-		}
-		counts[k] = inner
-	}
-	t.counts = counts
 	return r.Err()
 }
+
+// covCellCodec encodes SNR-keyed coverage aggregates in ascending key
+// order: each cell's three needed-rate sums, max95 and cell count.
+var covCellCodec = binio.MapOf(binio.IntCodec, binio.Codec[*covCell]{
+	Min: 40,
+	Write: func(w *binio.Writer, c *covCell) {
+		w.F64(c.n50)
+		w.F64(c.n80)
+		w.F64(c.n95)
+		w.Int(c.max95)
+		w.Int(c.cells)
+	},
+	Read: func(r *binio.Reader) *covCell {
+		return &covCell{n50: r.F64(), n80: r.F64(), n95: r.F64(), max95: r.Int(), cells: r.Int()}
+	},
+})
 
 // Snapshot serializes the coverage core's partial state at a network
 // boundary.
@@ -293,21 +277,7 @@ func (a *CoverageAccum) Snapshot(w io.Writer) error {
 	bw.Int(a.numRates)
 	bw.Int(a.agg.minObs)
 	writeTable(bw, a.table)
-	snrs := make([]int, 0, len(a.agg.bySNR))
-	for s := range a.agg.bySNR {
-		snrs = append(snrs, s)
-	}
-	sort.Ints(snrs)
-	bw.Int(len(snrs))
-	for _, s := range snrs {
-		c := a.agg.bySNR[s]
-		bw.Int(s)
-		bw.F64(c.n50)
-		bw.F64(c.n80)
-		bw.F64(c.n95)
-		bw.Int(c.max95)
-		bw.Int(c.cells)
-	}
+	covCellCodec.Write(bw, a.agg.bySNR)
 	return bw.Err()
 }
 
@@ -330,23 +300,38 @@ func (a *CoverageAccum) Restore(r io.Reader) error {
 	if err := readTable(br, a.table); err != nil {
 		return fmt.Errorf("snr: coverage snapshot: %w", err)
 	}
-	n := br.Count(8)
+	bySNR := covCellCodec.Read(br)
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: coverage snapshot: %w", err)
-	}
-	bySNR := make(map[int]*covCell, n)
-	for i := 0; i < n; i++ {
-		s := br.Int()
-		c := &covCell{n50: br.F64(), n80: br.F64(), n95: br.F64(), max95: br.Int(), cells: br.Int()}
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("snr: coverage snapshot: %w", err)
-		}
-		bySNR[s] = c
 	}
 	a.agg.bySNR = bySNR
 	a.held = nil
 	a.curNet, a.netSeen = "", false
-	return br.Err()
+	return nil
+}
+
+// rowCodec encodes SNR-keyed throughput rows in ascending key order:
+// each row's sample count, then its per-rate histograms.
+func (a *TputAccum) rowCodec() binio.Codec[map[int]*tputRow] {
+	return binio.MapOf(binio.IntCodec, binio.Codec[*tputRow]{
+		Min: 8 + 16*a.numRates,
+		Write: func(w *binio.Writer, row *tputRow) {
+			w.I64(row.n)
+			for ri := range row.cells {
+				writeHist(w, &row.cells[ri])
+			}
+		},
+		Read: func(r *binio.Reader) *tputRow {
+			row := &tputRow{n: r.I64(), cells: make([]diffHist, a.numRates)}
+			if a.grid != nil {
+				row.levels = make([]int64, a.numRates*levels)
+			}
+			for ri := range row.cells {
+				readHist(r, &row.cells[ri])
+			}
+			return row
+		},
+	})
 }
 
 // Snapshot serializes the throughput-vs-SNR core's partial state (any
@@ -357,20 +342,7 @@ func (a *TputAccum) Snapshot(w io.Writer) error {
 	bw.U8(tputSnapV1)
 	bw.Int(a.numRates)
 	bw.Int(a.minObs)
-	snrs := make([]int, 0, len(a.rows))
-	for s := range a.rows {
-		snrs = append(snrs, s)
-	}
-	sort.Ints(snrs)
-	bw.Int(len(snrs))
-	for _, s := range snrs {
-		row := a.rows[s]
-		bw.Int(s)
-		bw.I64(row.n)
-		for ri := range row.cells {
-			writeHist(bw, &row.cells[ri])
-		}
-	}
+	a.rowCodec().Write(bw, a.rows)
 	return bw.Err()
 }
 
@@ -386,59 +358,39 @@ func (a *TputAccum) Restore(r io.Reader) error {
 	if mo := br.Int(); br.Err() == nil && mo != a.minObs {
 		return fmt.Errorf("snr: tput snapshot minObs %d, accumulator %d", mo, a.minObs)
 	}
-	n := br.Count(8)
+	rows := a.rowCodec().Read(br)
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: tput snapshot: %w", err)
 	}
-	rows := make(map[int]*tputRow, n)
-	minSNR, maxSNR := 0, 0
-	for i := 0; i < n; i++ {
-		s := br.Int()
-		row := &tputRow{n: br.I64(), cells: make([]diffHist, a.numRates)}
-		if a.grid != nil {
-			row.levels = make([]int64, a.numRates*levels)
-		}
-		for ri := 0; ri < a.numRates; ri++ {
-			readHist(br, &row.cells[ri])
-		}
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("snr: tput snapshot: %w", err)
-		}
-		rows[s] = row
-		if i == 0 || s < minSNR {
-			minSNR = s
-		}
-		if i == 0 || s > maxSNR {
-			maxSNR = s
-		}
+	a.rows, a.minSNR, a.maxSNR = rows, 0, 0
+	if snrs := slices.Sorted(maps.Keys(rows)); len(snrs) > 0 {
+		a.minSNR, a.maxSNR = snrs[0], snrs[len(snrs)-1]
 	}
-	a.rows = rows
-	a.minSNR, a.maxSNR = minSNR, maxSNR
-	return br.Err()
+	return nil
 }
+
+// rateSetCodec encodes SNR-keyed rate sets in ascending key order, each
+// set as the ascending list of its rate indices.
+var rateSetCodec = binio.MapOf(binio.IntCodec, binio.Codec[map[int]bool]{
+	Min: 8,
+	Write: func(w *binio.Writer, set map[int]bool) {
+		binio.ListOf(binio.IntCodec).Write(w, slices.Sorted(maps.Keys(set)))
+	},
+	Read: func(r *binio.Reader) map[int]bool {
+		rates := binio.ListOf(binio.IntCodec).Read(r)
+		set := make(map[int]bool, len(rates))
+		for _, ri := range rates {
+			set[ri] = true
+		}
+		return set
+	},
+})
 
 // Snapshot serializes the optimal-rate-set core's partial state.
 func (a *RateSetAccum) Snapshot(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.U8(rateSetSnapV1)
-	snrs := make([]int, 0, len(a.seen))
-	for s := range a.seen {
-		snrs = append(snrs, s)
-	}
-	sort.Ints(snrs)
-	bw.Int(len(snrs))
-	for _, s := range snrs {
-		bw.Int(s)
-		rates := make([]int, 0, len(a.seen[s]))
-		for ri := range a.seen[s] {
-			rates = append(rates, ri)
-		}
-		sort.Ints(rates)
-		bw.Int(len(rates))
-		for _, ri := range rates {
-			bw.Int(ri)
-		}
-	}
+	rateSetCodec.Write(bw, a.seen)
 	return bw.Err()
 }
 
@@ -448,141 +400,87 @@ func (a *RateSetAccum) Restore(r io.Reader) error {
 	if v := br.U8(); br.Err() == nil && v != rateSetSnapV1 {
 		return fmt.Errorf("snr: rate-set snapshot version %d, want %d", v, rateSetSnapV1)
 	}
-	n := br.Count(8)
+	seen := rateSetCodec.Read(br)
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: rate-set snapshot: %w", err)
 	}
-	seen := make(map[int]map[int]bool, n)
-	for i := 0; i < n; i++ {
-		s := br.Int()
-		m := br.Count(8)
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("snr: rate-set snapshot: %w", err)
-		}
-		rates := make(map[int]bool, m)
-		for j := 0; j < m; j++ {
-			rates[br.Int()] = true
-		}
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("snr: rate-set snapshot: %w", err)
-		}
-		seen[s] = rates
-	}
 	a.seen = seen
-	return br.Err()
+	return nil
 }
 
-// writeIntSlice serializes a fixed-shape int slice.
-func writeIntSlice(w *binio.Writer, vs []int) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.I64(int64(v))
+// The strategy-replay and top-k cores hold only fixed-shape counters, so
+// each describes its state once, as binio cells, and its Merge, Snapshot
+// and Restore are loops over them.
+
+// state lists the strategy core's construction (version, rate count,
+// history cap, strategy count), then each strategy's counters. Strategy
+// and the per-link scratch are not state.
+func (a *StrategyAccum) state() []binio.Cell {
+	cells := []binio.Cell{
+		binio.Param("version", uint8(strategySnapV1), binio.U8Codec),
+		binio.Param("rates", a.numRates, binio.IntCodec),
+		binio.Param("maxX", a.maxX, binio.IntCodec),
+		binio.Param("strategies", len(a.results), binio.IntCodec),
 	}
+	for i := range a.results {
+		res := &a.results[i]
+		cells = append(cells, binio.Counts(&res.Hits), binio.Counts(&res.Total),
+			binio.Counter(&res.Updates), binio.Counter(&res.MemEntries), binio.Counter(&res.Skipped))
+	}
+	return cells
 }
 
-// readIntSliceInto decodes into dst, whose length must match the stored
-// one.
-func readIntSliceInto(r *binio.Reader, dst []int, what string) error {
-	n := r.Count(8)
-	if err := r.Err(); err != nil {
-		return err
+// state lists the top-k core's construction (version, rate count, the k
+// sequence), then its per-k counters.
+func (a *TopKAccum) state() []binio.Cell {
+	cells := []binio.Cell{
+		binio.Param("version", uint8(topkSnapV1), binio.U8Codec),
+		binio.Param("rates", a.numRates, binio.IntCodec),
+		binio.Param("ks", len(a.ks), binio.IntCodec),
 	}
-	if n != len(dst) {
-		return fmt.Errorf("snr: %s has %d entries, accumulator %d", what, n, len(dst))
+	for _, k := range a.ks {
+		cells = append(cells, binio.Param("k", k, binio.IntCodec))
 	}
-	for i := range dst {
-		dst[i] = int(r.I64())
-	}
-	return r.Err()
+	return append(cells, binio.Counts(&a.hits), binio.Counts(&a.evaluated))
 }
+
+// Merge folds another strategy partial into this one. Both accumulators
+// must share numRates and maxX.
+func (a *StrategyAccum) Merge(o *StrategyAccum) { mergeCells(a.state(), o.state()) }
 
 // Snapshot serializes the strategy-replay core's partial state.
 func (a *StrategyAccum) Snapshot(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.U8(strategySnapV1)
-	bw.Int(a.numRates)
-	bw.Int(a.maxX)
-	bw.Int(len(a.results))
-	for i := range a.results {
-		res := &a.results[i]
-		writeIntSlice(bw, res.Hits)
-		writeIntSlice(bw, res.Total)
-		bw.Int(res.Updates)
-		bw.Int(res.MemEntries)
-		bw.Int(res.Skipped)
-	}
-	return bw.Err()
+	return binio.WriteCells(binio.NewWriter(w), a.state())
 }
 
 // Restore loads a Snapshot into a freshly constructed accumulator with
 // the same rate count and history cap.
-func (a *StrategyAccum) Restore(r io.Reader) error {
-	br := binio.NewReader(r)
-	if v := br.U8(); br.Err() == nil && v != strategySnapV1 {
-		return fmt.Errorf("snr: strategy snapshot version %d, want %d", v, strategySnapV1)
-	}
-	if nr := br.Int(); br.Err() == nil && nr != a.numRates {
-		return fmt.Errorf("snr: strategy snapshot has %d rates, accumulator %d", nr, a.numRates)
-	}
-	if mx := br.Int(); br.Err() == nil && mx != a.maxX {
-		return fmt.Errorf("snr: strategy snapshot maxX %d, accumulator %d", mx, a.maxX)
-	}
-	if n := br.Int(); br.Err() == nil && n != len(a.results) {
-		return fmt.Errorf("snr: strategy snapshot has %d strategies, accumulator %d", n, len(a.results))
-	}
-	if err := br.Err(); err != nil {
-		return fmt.Errorf("snr: strategy snapshot: %w", err)
-	}
-	for i := range a.results {
-		res := &a.results[i]
-		if err := readIntSliceInto(br, res.Hits, "strategy snapshot hits"); err != nil {
-			return err
-		}
-		if err := readIntSliceInto(br, res.Total, "strategy snapshot totals"); err != nil {
-			return err
-		}
-		res.Updates = br.Int()
-		res.MemEntries = br.Int()
-		res.Skipped = br.Int()
-	}
-	return br.Err()
-}
+func (a *StrategyAccum) Restore(r io.Reader) error { return restoreCells(r, "strategy", a.state()) }
+
+// Merge folds another top-k partial into this one. Both accumulators must
+// share numRates and the same k sequence.
+func (a *TopKAccum) Merge(o *TopKAccum) { mergeCells(a.state(), o.state()) }
 
 // Snapshot serializes the top-k core's partial state.
 func (a *TopKAccum) Snapshot(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.U8(topkSnapV1)
-	bw.Int(a.numRates)
-	writeIntSlice(bw, a.ks)
-	writeIntSlice(bw, a.hits)
-	writeIntSlice(bw, a.evaluated)
-	return bw.Err()
+	return binio.WriteCells(binio.NewWriter(w), a.state())
 }
 
 // Restore loads a Snapshot into a freshly constructed accumulator with
-// the same rate count and k set.
-func (a *TopKAccum) Restore(r io.Reader) error {
-	br := binio.NewReader(r)
-	if v := br.U8(); br.Err() == nil && v != topkSnapV1 {
-		return fmt.Errorf("snr: top-k snapshot version %d, want %d", v, topkSnapV1)
+// the same rate count and k sequence.
+func (a *TopKAccum) Restore(r io.Reader) error { return restoreCells(r, "top-k", a.state()) }
+
+// mergeCells merges two cores' state lists. The lists differ only when
+// the cores were built differently, which is a caller's bug.
+func mergeCells(dst, src []binio.Cell) {
+	if err := binio.MergeCells(dst, src); err != nil {
+		panic("snr: " + err.Error())
 	}
-	if nr := br.Int(); br.Err() == nil && nr != a.numRates {
-		return fmt.Errorf("snr: top-k snapshot has %d rates, accumulator %d", nr, a.numRates)
+}
+
+func restoreCells(r io.Reader, what string, cells []binio.Cell) error {
+	if err := binio.ReadCells(binio.NewReader(r), cells); err != nil {
+		return fmt.Errorf("snr: %s snapshot: %w", what, err)
 	}
-	ks := make([]int, len(a.ks))
-	if err := readIntSliceInto(br, ks, "top-k snapshot ks"); err != nil {
-		return err
-	}
-	for i, k := range ks {
-		if k != a.ks[i] {
-			return fmt.Errorf("snr: top-k snapshot ks %v, accumulator %v", ks, a.ks)
-		}
-	}
-	if err := readIntSliceInto(br, a.hits, "top-k snapshot hits"); err != nil {
-		return err
-	}
-	if err := readIntSliceInto(br, a.evaluated, "top-k snapshot evaluated"); err != nil {
-		return err
-	}
-	return br.Err()
+	return nil
 }

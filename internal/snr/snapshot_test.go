@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"meshlab/internal/binio"
 )
 
 // chunkCore is the shape every chunked §4 core shares; the snapshot
@@ -238,4 +240,53 @@ func linkBoundary(g []Sample, i int) int {
 		}
 	}
 	return len(g)
+}
+
+// cellTarget identifies what a state cell points at: an address and the
+// type stored there, so a struct and its first field stay distinct.
+type cellTarget struct {
+	addr uintptr
+	typ  reflect.Type
+}
+
+// TestStateListsCoverEveryField: every field of the cores described by
+// state() is the target of a state cell, or is construction or per-chunk
+// scratch — so a counter added to a core cannot be left out of its
+// merge, snapshot and restore. It is the walk internal/experiments runs
+// over its accumulators, for the two cores kept on cells.
+func TestStateListsCoverEveryField(t *testing.T) {
+	config := map[string]bool{
+		"StrategyAccum.numRates": true, "StrategyAccum.maxX": true, // checked by Params
+		"StrategyAccum.seq": true, "StrategyAccum.pred": true, "StrategyAccum.counts": true, // scratch
+		"StrategyResult.Strategy": true,
+		"TopKAccum.numRates":      true, "TopKAccum.ks": true, // checked by Params
+		"TopKAccum.rate": true, "TopKAccum.ranks": true, // scratch
+	}
+	for _, acc := range []interface{ state() []binio.Cell }{NewStrategyAccum(7, 20), NewTopKAccum(7, []int{1, 2, 3})} {
+		targets := map[cellTarget]bool{}
+		for _, c := range acc.state() {
+			v := reflect.ValueOf(c)
+			for i := range v.NumField() {
+				if f := v.Field(i); f.Kind() == reflect.Pointer && !f.IsNil() {
+					targets[cellTarget{f.Pointer(), f.Type().Elem()}] = true
+				}
+			}
+		}
+		var walk func(v reflect.Value)
+		walk = func(v reflect.Value) {
+			for i := range v.NumField() {
+				f := v.Field(i)
+				switch name := v.Type().Name() + "." + v.Type().Field(i).Name; {
+				case config[name], targets[cellTarget{f.Addr().Pointer(), f.Type()}]:
+				case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct:
+					for j := range f.Len() {
+						walk(f.Index(j))
+					}
+				default:
+					t.Errorf("%T: %s is in no state cell and not configuration", acc, name)
+				}
+			}
+		}
+		walk(reflect.ValueOf(acc).Elem())
+	}
 }
