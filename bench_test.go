@@ -218,7 +218,7 @@ func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 			b.Fatal(err)
 		}
 		groups := 0
-		err = EachSampleGroup(path, 2, func(band, _ string, samples []snr.Sample) error {
+		err = eachSampleGroup(path, 2, func(band, _ string, samples []snr.Sample) error {
 			if err := run.ObserveGroup(band, samples); err != nil {
 				return err
 			}

@@ -126,31 +126,6 @@ func StreamGenerated(opts Options, so StreamOptions, ids ...string) ([]*Result, 
 // WriteFleet serializes a fleet in the JSON-lines dataset format.
 func WriteFleet(w io.Writer, f *Fleet) error { return dataset.Write(w, f) }
 
-// WriteFleetBinary serializes a fleet in the compact binary format, which
-// is several times smaller than JSON lines; prefer it for reference-scale
-// datasets. See docs/FORMAT.md for the byte-level specification.
-func WriteFleetBinary(w io.Writer, f *Fleet) error { return wire.Write(w, f) }
-
-// WriteFleetBinaryWithSamples serializes a fleet like WriteFleetBinary
-// and appends the flat-sample section (the pre-flattened §4 samples), so
-// a later streaming run reads the samples instead of re-flattening probe
-// data. The section roughly triples the file (measured 107 → 279 MB at
-// reference scale); dataset caches use it, interchange files usually
-// should not.
-func WriteFleetBinaryWithSamples(w io.Writer, f *Fleet) error {
-	return wire.EncodeFleet(w, f, wire.EncodeOptions{Samples: true})
-}
-
-// ReadFleet parses a fleet in either supported format, sniffing the
-// binary format's magic.
-func ReadFleet(r io.Reader) (*Fleet, error) {
-	src, err := readSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return collect(src)
-}
-
 // SaveFleet writes a fleet to a file: the binary format when the path
 // ends in ".bin", JSON lines otherwise. The write is atomic (temp +
 // fsync + rename, like the dataset cache): a concurrent reader or a
@@ -406,14 +381,14 @@ func ShardedStream(ctx context.Context, path string, so ShardOptions) (*ShardRes
 	return shard.Run(ctx, path, so)
 }
 
-// EachSampleGroup streams a dataset file's §4 samples one per-network
+// eachSampleGroup streams a dataset file's §4 samples one per-network
 // group at a time: from the flat-sample section when the file carries
 // one (groups decode across a bounded pool of workers, ≤ 0 meaning the
 // process budget, and arrive in file order), otherwise by flattening
 // each network as it is read. Peak memory is a bounded window of groups
 // — never the sample set — so fn can train chunked accumulators at
 // table-sized RSS.
-func EachSampleGroup(path string, workers int, fn func(band, net string, samples []snr.Sample) error) error {
+func eachSampleGroup(path string, workers int, fn func(band, net string, samples []snr.Sample) error) error {
 	src, err := openSource(path, nil)
 	if err != nil {
 		return err
@@ -442,8 +417,8 @@ func (flattener) clients(*dataset.ClientData) error { return nil }
 
 // StreamSampleExperiments runs sample-only experiments
 // (SampleExperimentIDs) over a dataset file's chunked sample-group
-// stream (EachSampleGroup): the -sec4 engine. The samples are never materialized — each
-// group trains the experiments' count/histogram tables and is released —
+// stream (eachSampleGroup): the -sec4 engine. The samples are never
+// materialized — each group trains the experiments' count/histogram tables and is released —
 // so reference-scale caches analyze at table-sized memory. Results are
 // byte-identical to the same experiments in a full-suite run, in the
 // order ids are given.
@@ -452,7 +427,7 @@ func StreamSampleExperiments(path string, ids []string, workers int) ([]*Result,
 	if err != nil {
 		return nil, err
 	}
-	if err := EachSampleGroup(path, workers, func(band, _ string, samples []snr.Sample) error {
+	if err := eachSampleGroup(path, workers, func(band, _ string, samples []snr.Sample) error {
 		return run.ObserveGroup(band, samples)
 	}); err != nil {
 		return nil, err

@@ -246,7 +246,7 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 	for _, path := range []string{sampled, plain, jsonl} {
 		cat := map[string][]snr.Sample{}
 		groups := 0
-		if err := EachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {
+		if err := eachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {
 			groups++
 			for i := range samples {
 				if samples[i].Net != net {
@@ -267,7 +267,7 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 			t.Fatalf("%s: concatenated groups diverge from the materialized samples", path)
 		}
 	}
-	if err := EachSampleGroup(filepath.Join(dir, "missing.bin"), 1, nil); err == nil {
+	if err := eachSampleGroup(filepath.Join(dir, "missing.bin"), 1, nil); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

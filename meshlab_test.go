@@ -2,6 +2,7 @@ package meshlab
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,12 @@ import (
 	"meshlab/internal/dataset"
 	"meshlab/internal/leakcheck"
 	"meshlab/internal/radio"
+	"meshlab/internal/wire"
 )
+
+// TestMain fails the package if a test leaves a goroutine running: a
+// pipeline, shard worker or kill-and-resume walk that was not joined.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestEndToEndQuick(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(5))
@@ -77,7 +83,7 @@ func TestFleetIORoundTrip(t *testing.T) {
 	if err := WriteFleet(&buf, fleet); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFleet(&buf)
+	got, err := readFleet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +175,25 @@ func TestWriteFleetBinaryStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFleetBinary(&buf, fleet); err != nil {
+	if err := wire.Write(&buf, fleet); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFleet(&buf)
+	got, err := readFleet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Networks) != len(fleet.Networks) {
 		t.Fatal("stream binary round trip failed")
 	}
+}
+
+// readFleet collects a fleet in either dataset format from r.
+func readFleet(r io.Reader) (*Fleet, error) {
+	src, err := readSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return collect(src)
 }
 
 // loadOrGenerate collects the dataset for opts into a fleet through the
