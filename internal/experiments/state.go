@@ -2,8 +2,8 @@ package experiments
 
 // state.go folds and checkpoints accumulators through their state lists.
 // Every accumulator lists its persistent state once, as state() (binio's
-// cell kinds, plus the §6 census and shared-replay kinds below), and the
-// three operations the engine needs are loops over that list:
+// cell kinds over the value codecs below, plus the shared-replay cell),
+// and the three operations the engine needs are loops over that list:
 //
 //   - merge: the streaming collector folds each network's one-network
 //     partial, measured on a pipeline worker, into the run's

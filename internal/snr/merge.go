@@ -1,11 +1,13 @@
 package snr
 
-// merge.go gives every chunked §4 core a Merge operation: fold another
+// merge.go gives the table cores a Merge operation: fold another
 // accumulator's partial state into this one, as if this accumulator had
-// observed both inputs' chunks itself. Every core's persistent state is a
-// count or histogram table, so merge is addition — exact, with no
-// floating-point reassociation — and the shard-vs-whole oracle pins the
-// merged result byte-identical to a single whole-input run.
+// observed both inputs' chunks itself. (The strategy and top-k cores
+// merge through their state cells, in snapshot.go.) Every core's
+// persistent state is a count or histogram table, so merge is addition —
+// exact, with no floating-point reassociation — and the shard-vs-whole
+// oracle pins the merged result byte-identical to a single whole-input
+// run.
 //
 // The shard contract mirrors the chunk contract (see the package comment
 // in chunked.go), one level up: each partial observes a contiguous run of
