@@ -73,34 +73,63 @@ type sender struct {
 
 // SimulateTriple runs the slotted contention model for the given number of
 // slots and returns aggregate outcomes for both senders combined.
+//
+// Most slots draw nothing, so the loop skips them in O(1): while both
+// senders count down it jumps to the first backoff expiry, and while both
+// transmit it jumps to the first transmission end. While exactly one
+// transmits, the idle sender's carrier-sense draws up to the end of that
+// transmission are made in one batch (rng.Stream.BoolMisses), which stops
+// right after the miss that expires its backoff. The slot that starts or
+// ends a transmission then runs as a plain slot, so the stream sees the
+// same draws, in the same order, as a slot-by-slot loop.
 func SimulateTriple(r *rng.Stream, p TripleParams, slots int) TripleResult {
 	p = p.withDefaults()
 	a := &sender{backoff: 1 + r.Intn(p.MaxBackoff)}
 	b := &sender{backoff: 1 + r.Intn(p.MaxBackoff)}
 
-	for t := 0; t < slots; t++ {
-		// Phase 1: idle senders observe the channel as it was at the
-		// start of the slot, then count down or start transmitting.
-		aStarts := tick(r, p, a, b.txLeft > 0)
-		bStarts := tick(r, p, b, a.txLeft > 0)
-		if aStarts {
-			a.txLeft = p.PacketSlots
-			a.txSlots = 0
-			a.collided = false
+	for t := 0; t < slots; {
+		left := slots - t
+		switch {
+		case a.txLeft == 0 && b.txLeft == 0:
+			// Both count down without drawing until one expires.
+			k := min(a.backoff, b.backoff, left) - 1
+			a.backoff -= k
+			b.backoff -= k
+			t += k
+		case a.txLeft > 0 && b.txLeft > 0:
+			// Both transmit (and have collided) until one ends.
+			k := min(a.txLeft, b.txLeft, left) - 1
+			a.burn(k)
+			b.burn(k)
+			t += k
+		default:
+			tx, idle := a, b
+			if b.txLeft > 0 {
+				tx, idle = b, a
+			}
+			// The idle sender listens each slot before tx's last.
+			draws, misses := r.BoolMisses(p.SenseAB, min(tx.txLeft-1, left), idle.backoff)
+			idle.backoff -= misses
+			if idle.backoff == 0 {
+				// The last draw expired idle's backoff: finish that slot.
+				tx.burn(draws - 1)
+				t += draws
+				occupy(r, p, a, b, idle == a, idle == b)
+				continue
+			}
+			// Next comes tx's last slot, or the end.
+			tx.burn(draws)
+			t += draws
 		}
-		if bStarts {
-			b.txLeft = p.PacketSlots
-			b.txSlots = 0
-			b.collided = false
+		if t < slots {
+			// A plain slot. Phase 1: idle senders observe the channel
+			// as it was at the start of the slot, then count down or
+			// start transmitting.
+			aStarts := tick(r, p, a, b.txLeft > 0)
+			bStarts := tick(r, p, b, a.txLeft > 0)
+			occupy(r, p, a, b, aStarts, bStarts)
+			t++
 		}
-		// Phase 2: active transmissions occupy this slot; overlap marks
-		// both as collided.
-		if a.txLeft > 0 && b.txLeft > 0 {
-			a.collided = true
-			b.collided = true
-		}
-		advance(r, p, a)
-		advance(r, p, b)
 	}
 	res := TripleResult{Slots: slots}
 	for _, s := range []*sender{a, b} {
@@ -113,6 +142,36 @@ func SimulateTriple(r *rng.Stream, p TripleParams, slots int) TripleResult {
 	}
 	res.Utilization /= float64(slots)
 	return res
+}
+
+// occupy runs the rest of a slot once phase 1 has decided who starts.
+func occupy(r *rng.Stream, p TripleParams, a, b *sender, aStarts, bStarts bool) {
+	if aStarts {
+		a.start(p)
+	}
+	if bStarts {
+		b.start(p)
+	}
+	// Phase 2: active transmissions occupy this slot; overlap marks both
+	// as collided.
+	if a.txLeft > 0 && b.txLeft > 0 {
+		a.collided = true
+		b.collided = true
+	}
+	advance(r, p, a)
+	advance(r, p, b)
+}
+
+func (s *sender) start(p TripleParams) {
+	s.txLeft = p.PacketSlots
+	s.txSlots = 0
+	s.collided = false
+}
+
+// burn advances an active transmission by k slots that do not end it.
+func (s *sender) burn(k int) {
+	s.txLeft -= k
+	s.txSlots += k
 }
 
 // tick advances an idle sender's backoff, returning true when it begins

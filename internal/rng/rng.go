@@ -155,6 +155,52 @@ func (r *Stream) ExpFloat64() float64 {
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 
+// BoolMisses makes the Bool(p) draws of a loop that stops after n draws
+// or right after the limit-th false outcome (a miss), whichever comes
+// first, and returns how many draws it made and how many missed. It
+// consumes exactly the Float64 sequence those Bool calls would, so the
+// stream is left where the loop would leave it; it draws nothing when
+// n ≤ 0 or limit ≤ 0.
+func (r *Stream) BoolMisses(p float64, n, limit int) (draws, misses int) {
+	if n <= 0 || limit <= 0 {
+		return 0, 0
+	}
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		*r = *New(0) // as Uint64 seeds a zero value on its first draw
+	}
+	// Float64 is k/2⁵³ for k = Uint64()>>11, so Float64() < p exactly
+	// when k < ⌈p·2⁵³⌉ (the product is exact): hit is 0 for every k when
+	// p ≤ 0 or NaN, and 2⁵³ passes every k when p ≥ 1.
+	var hit uint64
+	switch {
+	case p >= 1:
+		hit = 1 << 53
+	case p > 0:
+		hit = uint64(math.Ceil(p * (1 << 53)))
+	}
+	// Uint64 inlined over a register copy of the state, written back
+	// once.
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for draws < n {
+		u := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		draws++
+		// k < hit wraps k−hit to a set top bit (both are below 2⁵⁴).
+		misses += int(1 ^ (u>>11-hit)>>63)
+		if misses == limit {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return draws, misses
+}
+
 // Range returns a uniform float64 in [lo, hi).
 func (r *Stream) Range(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
 

@@ -257,3 +257,86 @@ func BenchmarkNormFloat64(b *testing.B) {
 		_ = r.NormFloat64()
 	}
 }
+
+// boolLoop is the loop BoolMisses stands for: Bool(p) draws until n draws
+// or limit misses, whichever comes first.
+func boolLoop(r *Stream, p float64, n, limit int) (draws, misses int) {
+	for draws < n && misses < limit {
+		draws++
+		if !r.Bool(p) {
+			misses++
+		}
+	}
+	return draws, misses
+}
+
+// TestBoolMissesMatchesBoolLoop: BoolMisses makes the draws of the Bool
+// loop, counts the same misses and leaves the stream in the same state,
+// including the zero value's lazy seeding and a cached normal deviate.
+func TestBoolMissesMatchesBoolLoop(t *testing.T) {
+	pick := New(99)
+	ps := []float64{0, 1, math.NaN(), -0.5, 1.5, math.Inf(1), math.Inf(-1),
+		0.5, 1.0 / 3, math.Nextafter(1, 0), math.Nextafter(0.5, 1), 5e-324, math.SmallestNonzeroFloat64 * (1 << 60)}
+	for i := 0; i < 20; i++ {
+		ps = append(ps, pick.Float64())
+	}
+	type shape struct{ n, limit int }
+	shapes := []shape{{0, 0}, {0, 5}, {5, 0}, {-3, 4}, {4, -3}, {1, 1}, {10, 1}, {10, 10}, {200, 7}, {1000, 1000}}
+	for i := 0; i < 30; i++ {
+		shapes = append(shapes, shape{pick.Intn(300), 1 + pick.Intn(40)})
+	}
+	starts := []func() *Stream{
+		func() *Stream { return &Stream{} },
+		func() *Stream { return New(3) },
+		func() *Stream {
+			r := New(4)
+			r.NormFloat64() // caches the spare deviate
+			return r
+		},
+	}
+	for si, start := range starts {
+		for _, p := range ps {
+			for _, sh := range shapes {
+				got, want := start(), start()
+				gd, gm := got.BoolMisses(p, sh.n, sh.limit)
+				wd, wm := boolLoop(want, p, sh.n, sh.limit)
+				if gd != wd || gm != wm {
+					t.Fatalf("start %d p=%v n=%d limit=%d: BoolMisses = (%d, %d), loop = (%d, %d)",
+						si, p, sh.n, sh.limit, gd, gm, wd, wm)
+				}
+				if *got != *want {
+					t.Fatalf("start %d p=%v n=%d limit=%d: final state %+v, loop's %+v",
+						si, p, sh.n, sh.limit, *got, *want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoolMissesLimitOnLastDraw: a loop whose limit-th miss is its n-th
+// draw stops there either way, and the stream's next draw agrees.
+func TestBoolMissesLimitOnLastDraw(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		probe := New(seed)
+		const p = 0.6
+		// Find where the 3rd miss falls, then ask for exactly that many
+		// draws with limit 3.
+		n, _ := boolLoop(probe, p, 1<<20, 3)
+		got, want := New(seed), New(seed)
+		gd, gm := got.BoolMisses(p, n, 3)
+		wd, wm := boolLoop(want, p, n, 3)
+		if gd != n || gm != 3 || gd != wd || gm != wm {
+			t.Fatalf("seed %d: BoolMisses = (%d, %d), loop = (%d, %d), want (%d, 3)", seed, gd, gm, wd, wm, n)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("seed %d: next draw differs", seed)
+		}
+	}
+}
+
+func BenchmarkBoolMisses(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.BoolMisses(0.9, 64, 8)
+	}
+}

@@ -23,7 +23,7 @@ package routing
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"meshlab/internal/dataset"
 )
@@ -185,22 +185,30 @@ func heapLess(a, b heapNode) bool {
 	return a.node < b.node
 }
 
-// solver runs heap-based Dijkstra over a precomputed adjacency list,
-// reusing its scratch buffers across sources so an all-pairs sweep does
-// not allocate per source. Probe matrices are sparse (most AP pairs are
-// out of range), so skipping zero-probability links at adjacency-build
-// time is the main win over the dense O(n³) scan.
+// solver runs Dijkstra over a precomputed adjacency list with an indexed
+// binary heap: each reached node has one entry, whose key a shorter path
+// lowers in place (decrease-key). It reuses its scratch buffers across
+// sources, so an all-pairs sweep does not allocate per source. Skipping
+// zero-probability links at adjacency-build time helps the sparse probe
+// matrices, but not all are sparse: the reference fleet's giant network
+// (net005/bg, 203 APs) has 61% of its directed pairs in range.
 type solver struct {
-	n    int
 	adj  [][]arc
 	heap []heapNode
-	done []bool
+	// pos is each node's index in heap while it is queued, else unseen
+	// or settled.
+	pos []int32
 }
+
+const (
+	unseen  = -1
+	settled = -2
+)
 
 // newSolver builds a solver from per-node arc counts and a fill callback;
 // the arcs for all nodes live in one flat slice.
 func newSolver(n int, arcCount func(i int) int, fill func(i int, arcs []arc) []arc) *solver {
-	sv := &solver{n: n, adj: make([][]arc, n), done: make([]bool, n)}
+	sv := &solver{adj: make([][]arc, n), pos: make([]int32, n)}
 	total := 0
 	for i := 0; i < n; i++ {
 		total += arcCount(i)
@@ -247,34 +255,33 @@ func newMatrixSolver(m Matrix, v Variant) *solver {
 // run solves single-source shortest paths from src, writing the solution
 // into the caller's dist/hops/next rows. Ties in path cost resolve toward
 // fewer hops; remaining ties keep the first relaxation found under the
-// deterministic (dist, hops, node) extraction order.
+// deterministic (dist, hops, node) extraction order. A relaxation only
+// ever lowers a node's key, so extracting the least current key settles
+// nodes in the order a lazy-deletion heap (one entry per relaxation,
+// stale ones skipped) would.
 func (sv *solver) run(src int, dist []float64, hops, next []int) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		hops[i] = -1
 		next[i] = -1
-		sv.done[i] = false
+		sv.pos[i] = unseen
 	}
 	dist[src], hops[src] = 0, 0
-	h := sv.heap[:0]
-	h = heapPush(h, heapNode{dist: 0, hops: 0, node: int32(src)})
+	h := append(sv.heap[:0], heapNode{dist: 0, hops: 0, node: int32(src)})
+	sv.pos[src] = 0
 	for len(h) > 0 {
-		top := h[0]
-		h = heapPop(h)
-		u := int(top.node)
-		if sv.done[u] {
-			continue // stale duplicate from lazy deletion
-		}
-		sv.done[u] = true
+		u := int(h[0].node)
+		h = sv.popMin(h)
+		sv.pos[u] = settled
 		du, hu := dist[u], hops[u]
 		for _, a := range sv.adj[u] {
 			w := int(a.to)
-			if sv.done[w] {
-				continue
-			}
 			nd := du + a.cost
 			nh := hu + 1
-			if nd < dist[w] || (nd == dist[w] && nh < hops[w]) {
+			// A settled node's key is at most u's, so with non-negative
+			// costs the first test already fails for it; testing pos
+			// last keeps that unpredictable branch off the common path.
+			if (nd < dist[w] || (nd == dist[w] && nh < hops[w])) && sv.pos[w] != settled {
 				dist[w] = nd
 				hops[w] = nh
 				if u == src {
@@ -282,47 +289,64 @@ func (sv *solver) run(src int, dist []float64, hops, next []int) {
 				} else {
 					next[w] = next[u]
 				}
-				h = heapPush(h, heapNode{dist: nd, hops: int32(nh), node: int32(w)})
+				x := heapNode{dist: nd, hops: int32(nh), node: int32(w)}
+				i := sv.pos[w]
+				if i == unseen {
+					i = int32(len(h))
+					h = append(h, x)
+				} else {
+					h[i] = x
+				}
+				sv.siftUp(h, int(i))
 			}
 		}
 	}
 	sv.heap = h[:0] // retain capacity for the next source
 }
 
-func heapPush(h []heapNode, x heapNode) []heapNode {
-	h = append(h, x)
-	i := len(h) - 1
+// siftUp moves h[i] toward the root until its parent is smaller, keeping
+// pos current.
+func (sv *solver) siftUp(h []heapNode, i int) {
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !heapLess(h[i], h[parent]) {
+		if !heapLess(x, h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
+		sv.pos[h[i].node] = int32(i)
 		i = parent
 	}
-	return h
+	h[i] = x
+	sv.pos[x.node] = int32(i)
 }
 
-func heapPop(h []heapNode) []heapNode {
+// popMin removes the root, refilling it from the last entry.
+func (sv *solver) popMin(h []heapNode) []heapNode {
 	last := len(h) - 1
-	h[0] = h[last]
+	x := h[last]
 	h = h[:last]
+	if last == 0 {
+		return h
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && heapLess(h[l], h[smallest]) {
-			smallest = l
-		}
-		if r < len(h) && heapLess(h[r], h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		l := 2*i + 1
+		if l >= last {
 			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		if r := l + 1; r < last && heapLess(h[r], h[l]) {
+			l = r
+		}
+		if !heapLess(h[l], x) {
+			break
+		}
+		h[i] = h[l]
+		sv.pos[h[i].node] = int32(i)
+		i = l
 	}
+	h[i] = x
+	sv.pos[x.node] = int32(i)
 	return h
 }
 
@@ -347,16 +371,24 @@ func AllPairs(m Matrix, v Variant) *Paths {
 // strictly closer than s.
 func ExORToDest(m Matrix, etx *Paths, d int) []float64 {
 	exor := make([]float64, m.Size())
-	exorToDest(m, etx, d, exor, make([]int, 0, m.Size()))
+	exorToDest(m, etx, d, exor, make([]destKey, 0, m.Size()))
 	return exor
 }
 
-// exorToDest fills exor using order (capacity ≥ n) as scratch. The single
+// destKey is one node reachable to the current destination: its ETX
+// distance there and, once computed, its ExOR cost.
+type destKey struct {
+	dist, exor float64
+	node       int
+}
+
+// exorToDest fills exor using keys (capacity ≥ n) as scratch. The single
 // sort by (distance-to-d, index) already yields every source's candidate
 // set as a strictly-closer prefix, so no per-source candidate slice or
 // re-sort is needed: s's candidates are exactly the nodes before the first
-// entry at distance ≥ dist(s), in forwarding priority order.
-func exorToDest(m Matrix, etx *Paths, d int, exor []float64, order []int) {
+// entry at distance ≥ dist(s), in forwarding priority order. The column
+// of distances to d is read once, into keys.
+func exorToDest(m Matrix, etx *Paths, d int, exor []float64, keys []destKey) {
 	n := m.Size()
 	for i := range exor {
 		exor[i] = math.Inf(1)
@@ -365,42 +397,43 @@ func exorToDest(m Matrix, etx *Paths, d int, exor []float64, order []int) {
 
 	// All reachable nodes — d first (distance 0) — ordered by increasing
 	// ETX distance to d, then index.
-	order = order[:0]
-	order = append(order, d)
+	keys = append(keys[:0], destKey{dist: etx.Dist[d][d], node: d})
 	for i := 0; i < n; i++ {
-		if i != d && !math.IsInf(etx.Dist[i][d], 1) {
-			order = append(order, i)
+		if dist := etx.Dist[i][d]; i != d && !math.IsInf(dist, 1) {
+			keys = append(keys, destKey{dist: dist, node: i})
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := etx.Dist[order[a]][d], etx.Dist[order[b]][d]
-		if da != db {
-			return da < db
+	slices.SortFunc(keys, func(a, b destKey) int {
+		switch {
+		case a.dist < b.dist:
+			return -1
+		case a.dist > b.dist:
+			return 1
 		}
-		return order[a] < order[b]
+		return a.node - b.node
 	})
 
-	for oi := 1; oi < len(order); oi++ {
-		s := order[oi]
-		ds := etx.Dist[s][d]
+	for oi := 1; oi < len(keys); oi++ {
+		s := keys[oi].node
+		ds := keys[oi].dist
 		row := m.Row(s)
 		num := 1.0
 		noneCloser := 1.0
-		for _, c := range order[:oi] {
-			if etx.Dist[c][d] >= ds {
+		for _, c := range keys[:oi] {
+			if c.dist >= ds {
 				break // sorted: no later entry is strictly closer
 			}
-			p := row[c]
+			p := row[c.node]
 			if p <= 0 {
 				continue
 			}
 			r := p * noneCloser // c received, nobody closer did
-			num += r * exor[c]
+			num += r * c.exor
 			noneCloser *= 1 - p
 		}
 		if noneCloser >= 1 {
 			// No node closer to d: ExOR degenerates to ETX (§5.1).
-			exor[s] = ds
+			keys[oi].exor, exor[s] = ds, ds
 			continue
 		}
 		e := num / (1 - noneCloser)
@@ -411,6 +444,7 @@ func exorToDest(m Matrix, etx *Paths, d int, exor []float64, order []int) {
 		if e > ds {
 			e = ds
 		}
+		keys[oi].exor = e
 		exor[s] = e
 	}
 }
@@ -441,10 +475,10 @@ func Improvements(m Matrix, v Variant) []PairResult {
 func ImprovementsFrom(m Matrix, etx *Paths) []PairResult {
 	n := m.Size()
 	exor := make([]float64, n)
-	order := make([]int, 0, n)
+	keys := make([]destKey, 0, n)
 	var out []PairResult
 	for d := 0; d < n; d++ {
-		exorToDest(m, etx, d, exor, order)
+		exorToDest(m, etx, d, exor, keys)
 		for s := 0; s < n; s++ {
 			if s == d || math.IsInf(etx.Dist[s][d], 1) || math.IsInf(exor[s], 1) {
 				continue
