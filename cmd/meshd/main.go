@@ -17,12 +17,12 @@
 // scenario's own name). Additional datasets register at runtime via
 // POST /v1/datasets.
 //
-// -query-timeout bounds each data query end to end (a saturated worker
-// pool answers 503 + Retry-After within it); -warm-retries controls how
-// many times a transiently-failed warm re-runs with backoff before the
-// dataset is marked failed; -dataset-ttl and -max-datasets bound how
-// many warmed snapshots a long-lived process retains (TTL and LRU
-// eviction). See docs/MESHD.md.
+// -workers is the warm budget: warms run one at a time, and queries,
+// which serve bytes rendered at warm time, take no worker. -warm-retries
+// controls how many times a transiently-failed warm re-runs with
+// backoff before the dataset is marked failed; -dataset-ttl and
+// -max-datasets bound how many warmed snapshots a long-lived process
+// retains (TTL and LRU eviction). See docs/MESHD.md.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight queries drain, then background warms drain (a warm sitting
@@ -113,15 +113,13 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "address to listen on")
 		dir      = fs.String("dir", "", "directory where scenario registrations synthesize their dataset files (required for scenario sources)")
-		workers  = fs.Int("workers", 0, "total worker slots across warms and queries (0: all cores)")
-		reserved = fs.Int("reserved", 0, "worker slots warms may never hold, kept free for queries (0: a quarter of the budget)")
+		workers  = fs.Int("workers", 0, "warm budget: warms run one at a time, each streaming on about three quarters of it (0: all cores)")
 		register = fs.String("register", "", "datasets to register at startup: comma-separated NAME=SOURCE or SOURCE entries (.bin file paths or scenario names/spec paths)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for draining in-flight queries and warms")
 
-		queryTimeout = fs.Duration("query-timeout", 30*time.Second, "per-query deadline across worker-slot wait and rendering; a saturated pool answers 503 within it (0: no deadline)")
-		warmRetries  = fs.Int("warm-retries", 3, "retries for a transiently-failed warm before the dataset is marked failed (-1: never retry; corrupt data never retries)")
-		datasetTTL   = fs.Duration("dataset-ttl", 0, "evict a ready dataset unqueried for this long, releasing its snapshot (0: keep forever)")
-		maxDatasets  = fs.Int("max-datasets", 0, "cap on registered datasets; past it the least-recently-queried ready dataset is evicted (0: unlimited)")
+		warmRetries = fs.Int("warm-retries", 3, "retries for a transiently-failed warm before the dataset is marked failed (-1: never retry; corrupt data never retries)")
+		datasetTTL  = fs.Duration("dataset-ttl", 0, "evict a ready dataset unqueried for this long, releasing its snapshot (0: keep forever)")
+		maxDatasets = fs.Int("max-datasets", 0, "cap on registered datasets; past it the least-recently-queried ready dataset is evicted (0: unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -136,11 +134,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	s := meshd.New(meshd.Config{
-		Dir: *dir, Workers: *workers, Reserved: *reserved,
-		QueryTimeout: *queryTimeout,
-		WarmRetries:  *warmRetries,
-		MaxDatasets:  *maxDatasets,
-		DatasetTTL:   *datasetTTL,
+		Dir:         *dir,
+		Workers:     *workers,
+		WarmRetries: *warmRetries,
+		MaxDatasets: *maxDatasets,
+		DatasetTTL:  *datasetTTL,
 	})
 	if err := registerAll(s, *register, stdout); err != nil {
 		if errors.Is(err, meshd.ErrBadRequest) {

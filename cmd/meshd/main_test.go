@@ -45,6 +45,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-register", "fleet.bin"}, // a .bin source needs a name
 		{"-register", "nameless.bin", "-dir", t.TempDir()},
 		{"-register", "no-such-scenario", "-dir", t.TempDir()},
+		{"-reserved", "1"},       // no such flag: queries take no worker slot
+		{"-query-timeout", "1s"}, // no such flag: queries have no deadline
 	} {
 		err := run(args, io.Discard)
 		if err == nil || !errors.As(err, &u) {

@@ -1,8 +1,6 @@
-// deadline_test.go pins the per-query deadline and the cache/Retry-After
-// surface: a saturated pool answers 503 within the budget with a derived
-// Retry-After and leaks no pool slot, not-ready 503s advise retrying
-// after the observed warm time, and the pre-rendered text endpoints
-// revalidate with strong ETags.
+// headers_test.go pins the cache and Retry-After surface: not-ready
+// 503s advise retrying after the observed warm time, and the
+// pre-rendered text endpoints revalidate with strong ETags.
 
 package meshd
 
@@ -11,80 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestMeshdQueryDeadline503NoLeak saturates every worker slot, issues a
-// query under a short deadline, and demands: 503 within the budget, a
-// numeric Retry-After, zero leaked slots afterwards (InFlight returns
-// to 0), and a working pool on the very next query.
-func TestMeshdQueryDeadline503NoLeak(t *testing.T) {
-	dir := t.TempDir()
-	spec := writeTinySpec(t, dir)
-	s := New(Config{Dir: dir, Workers: 4, QueryTimeout: 75 * time.Millisecond})
-	defer s.Shutdown(context.Background())
-	if _, err := s.RegisterScenario("tiny", spec); err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, s, "tiny")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Hold every slot so the query's pool wait can only time out.
-	capacity := s.pool.Capacity()
-	for i := 0; i < capacity; i++ {
-		if err := s.pool.Light(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	start := time.Now()
-	resp, err := http.Get(ts.URL + "/v1/datasets/tiny/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated pool answered %d: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "overloaded") {
-		t.Fatalf("503 body does not say overloaded: %s", body)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("503 took %v, far beyond the 75ms deadline", took)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("overload Retry-After %q, want an integer ≥ 1", resp.Header.Get("Retry-After"))
-	}
-
-	// No slot may leak on the timed-out wait.
-	for i := 0; i < capacity; i++ {
-		s.pool.ReleaseLight()
-	}
-	if n := s.pool.InFlight(); n != 0 {
-		t.Fatalf("%d pool slots leaked after the timeout", n)
-	}
-	if capHW, high := s.PoolStats(); high > capHW {
-		t.Fatalf("high-water %d exceeded capacity %d", high, capHW)
-	}
-	resp, err = http.Get(ts.URL + "/v1/datasets/tiny/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pool unusable after timeout: %d", resp.StatusCode)
-	}
-	if n := s.pool.InFlight(); n != 0 {
-		t.Fatalf("%d pool slots leaked after a served query", n)
-	}
-}
 
 // TestCeilSeconds pins the Retry-After arithmetic: whole seconds,
 // rounded up, floor 1.

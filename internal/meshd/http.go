@@ -1,24 +1,19 @@
 // http.go maps the Server onto its HTTP API (documented in
-// docs/MESHD.md). Every data read takes one light pool slot — the
-// per-query worker budget — under the query deadline, and resolves
-// against an immutable snapshot, so handlers never contend with warms
-// beyond that slot. Retry-After values are derived from observed
-// latency (the dataset's last warm for 503-not-ready, a query-latency
-// EWMA for 503-overloaded), and the pre-rendered text endpoints carry
-// strong ETags so pollers revalidate with 304s instead of re-downloading
-// reports.
+// docs/MESHD.md). Every data read resolves against an immutable
+// snapshot and takes no worker slot, so handlers never contend with
+// warms. A not-ready 503's Retry-After is derived from observed warm
+// times, and the pre-rendered text endpoints carry strong ETags so
+// pollers revalidate with 304s instead of re-downloading reports.
 
 package meshd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"meshlab"
 )
@@ -83,22 +78,15 @@ const (
 )
 
 // httpError maps the package's error taxonomy onto status codes:
-// 404 unknown name, 503+Retry-After still warming, 503+Retry-After
-// overloaded (query deadline expired waiting for a worker slot), 500
-// failed warm or internal fault, 400 bad request, 503 shutting down.
-// A Retry-After the handler already derived from observed latency is
-// kept; the bare "1" is only the no-evidence fallback.
+// 404 unknown name, 503 still warming (dataHandler sets its
+// Retry-After) or shutting down, 500 failed warm or internal fault,
+// 400 bad request.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrNotReady), errors.Is(err, ErrOverloaded):
-		if w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", "1")
-		}
-		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrNotReady), errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrBadRequest):
 		code = http.StatusBadRequest
@@ -142,24 +130,6 @@ func (s *Server) retryAfterWarm(name string) string {
 	return ceilSeconds(ms)
 }
 
-// retryAfterQuery derives the 503-overloaded Retry-After from the
-// query-latency EWMA: a saturated pool frees a slot roughly one query
-// duration from now.
-func (s *Server) retryAfterQuery() string {
-	return ceilSeconds(s.lastQueryMillis.Load())
-}
-
-// observeQuery folds one data query's duration into the latency EWMA
-// (weight 1/4) that backs overload Retry-After derivation.
-func (s *Server) observeQuery(d time.Duration) {
-	ms := max64(d.Milliseconds(), 1)
-	old := s.lastQueryMillis.Load()
-	if old > 0 {
-		ms = (3*old + ms) / 4
-	}
-	s.lastQueryMillis.Store(ms)
-}
-
 // etagMatch implements If-None-Match: "*" matches anything with a
 // current representation, otherwise any listed tag equal to the
 // snapshot's (weak-comparison — a W/ prefix is ignored — which is safe
@@ -175,9 +145,8 @@ func etagMatch(header, etag string) bool {
 }
 
 // dataHandler wraps a snapshot read: resolve the dataset, revalidate
-// the client's cache when the endpoint is cacheable, take one light
-// worker slot under the query deadline, run fn against the immutable
-// snapshot, and render text or JSON.
+// the client's cache when the endpoint is cacheable, run fn against the
+// immutable snapshot, and render text or JSON.
 func (s *Server) dataHandler(withETag bool, fn func(snap *Snapshot, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -191,40 +160,14 @@ func (s *Server) dataHandler(withETag bool, fn func(snap *Snapshot, r *http.Requ
 		}
 		if withETag {
 			// The whole response was rendered at warm time, so the
-			// snapshot's tag validates it exactly — and a match answers 304
-			// before spending a worker slot.
+			// snapshot's tag validates it exactly.
 			w.Header().Set("ETag", snap.ETag())
 			if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, snap.ETag()) {
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
-		// The per-query budget: one worker slot per in-flight query, so
-		// 64 concurrent queries fan across the pool instead of all
-		// running at once, and a streaming warm can never consume the
-		// slots queries are waiting on (the pool's reserved floor). The
-		// wait is bounded by Config.QueryTimeout: a saturated pool
-		// answers 503 within the budget instead of queueing open-endedly.
-		ctx := r.Context()
-		if s.cfg.QueryTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-			defer cancel()
-		}
-		if err := s.pool.Light(ctx); err != nil {
-			if ctx.Err() != nil && r.Context().Err() == nil {
-				// Our deadline expired (the client is still here): overload.
-				w.Header().Set("Retry-After", s.retryAfterQuery())
-				httpError(w, fmt.Errorf("%w: %v", ErrOverloaded, err))
-				return
-			}
-			httpError(w, fmt.Errorf("%w: %v", ErrClosed, err))
-			return
-		}
-		defer s.pool.ReleaseLight()
-		start := time.Now()
-		v, err := fn(snap, r.WithContext(ctx))
-		s.observeQuery(time.Since(start))
+		v, err := fn(snap, r)
 		if err != nil {
 			httpError(w, err)
 			return

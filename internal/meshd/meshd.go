@@ -18,10 +18,10 @@
 //     goroutines, so warming never blocks serving warm datasets;
 //     registration returns 202 plus a pollable status document (the
 //     e2e harness's polling discipline, over HTTP).
-//   - One conc.Pool divides the process worker budget between warms
-//     (heavy holders, capped below capacity) and queries (light
-//     holders with a reserved floor), so one expensive request can
-//     never starve the rest and total workers never exceed the budget.
+//   - Queries take no worker slot: every answer is bytes rendered at
+//     warm time, so a query is a map lookup and a write. Warms take one
+//     slot and run one at a time, each streaming with a fixed share of
+//     the worker budget (warmShare), so total workers never exceed it.
 //   - Graceful shutdown stops accepting registrations, unblocks queued
 //     warms, and drains in-flight work; an exceeded drain budget
 //     hard-cancels in-flight warms (their streams abort at the next
@@ -35,9 +35,8 @@
 //     exponential backoff + jitter (retry.go). Retries are
 //     generation-numbered, so a retry superseded by a re-registration
 //     or DELETE never publishes.
-//   - Data queries carry a deadline (Config.QueryTimeout) through pool
-//     acquisition: a saturated pool answers 503 + Retry-After derived
-//     from observed latency, never an open-ended wait.
+//   - A query on a dataset that is still warming answers 503 with a
+//     Retry-After derived from observed warm times.
 //   - Datasets have a lifecycle (lifecycle.go): TTL and LRU eviction
 //     bound how many snapshots a long-lived process retains, and
 //     DELETE cancels an in-flight warm. Eviction racing a query is
@@ -99,10 +98,6 @@ var (
 	ErrClosed = errors.New("meshd: server is shutting down")
 	// ErrBadRequest: an invalid registration or query.
 	ErrBadRequest = errors.New("meshd: bad request")
-	// ErrOverloaded: the query's deadline expired before a worker slot
-	// freed up. The HTTP layer maps it to 503 with a Retry-After derived
-	// from observed query latency.
-	ErrOverloaded = errors.New("meshd: overloaded: no worker slot within the query deadline")
 )
 
 // Config tunes a Server.
@@ -112,18 +107,10 @@ type Config struct {
 	// deterministic, so a present file is the right file). Required
 	// when scenarios are registered.
 	Dir string
-	// Workers caps the server's total worker slots — warms plus
-	// queries (≤ 0: the process budget, conc.Budget()).
+	// Workers is the warm budget (≤ 0: the process budget,
+	// conc.Budget()). Warms run one at a time, each streaming with
+	// warmShare(Workers) workers; queries take no worker.
 	Workers int
-	// Reserved worker slots a warm may never hold, so queries keep
-	// moving while cold datasets stream in (≤ 0: a quarter of the
-	// capacity, at least 1).
-	Reserved int
-	// QueryTimeout bounds one data query end to end — the wait for a
-	// worker slot plus rendering. Exceeding it answers 503 with a
-	// derived Retry-After instead of waiting open-endedly on a
-	// saturated pool. ≤ 0 disables the deadline.
-	QueryTimeout time.Duration
 	// WarmRetries is how many times a transiently-failed warm re-runs
 	// on a fresh handle before the dataset is marked failed (< 0:
 	// never retry; 0: the default, 3). Corrupt or otherwise permanent
@@ -149,34 +136,32 @@ type Config struct {
 // via Handler, stop with Shutdown.
 type Server struct {
 	cfg    Config
-	pool   *conc.Pool
 	warms  sync.WaitGroup
 	base   context.Context
 	cancel context.CancelFunc
 	// closing is closed when Shutdown begins: queued warms abort their
-	// pool waits and retrying warms abort their backoff sleeps, while
+	// slot waits and retrying warms abort their backoff sleeps, while
 	// in-flight warm attempts keep draining until the budget expires
 	// (then s.cancel hard-cancels their streams).
 	closing chan struct{}
 
-	// lastWarmMillis / lastQueryMillis are the observed-latency
-	// witnesses behind derived Retry-After headers: the most recent
-	// successful warm duration anywhere on the server, and an EWMA of
-	// data-query latency.
-	lastWarmMillis  atomic.Int64
-	lastQueryMillis atomic.Int64
+	// warmSlot holds one token while a warm streams, so warms run one
+	// at a time.
+	warmSlot chan struct{}
+	// budget is the resolved Config.Workers; share is warmShare(budget),
+	// the workers each warm streams with.
+	budget, share int
+	// warmed is set once any warm has taken the slot (PoolStats).
+	warmed atomic.Bool
+
+	// lastWarmMillis is the most recent successful warm duration
+	// anywhere on the server, the fallback behind a not-ready
+	// Retry-After.
+	lastWarmMillis atomic.Int64
 
 	mu       sync.RWMutex
 	closed   bool
 	datasets map[string]*dsEntry
-
-	// synthMu guards synthLocks, the per-dataset-path mutexes that
-	// serialize scenario synthesis: two concurrent warms of the same
-	// scenario (registered under different names) share one synthesis —
-	// the second enters Synthesize after the first's atomic rename has
-	// published the file and reuses it.
-	synthMu    sync.Mutex
-	synthLocks map[string]*sync.Mutex
 }
 
 // dsEntry is one registered dataset: mutable status under mu, plus the
@@ -276,14 +261,16 @@ type Status struct {
 // Config.DatasetTTL starts the eviction janitor (stopped by Shutdown).
 func New(cfg Config) *Server {
 	base, cancel := context.WithCancel(context.Background())
+	budget := conc.Workers(cfg.Workers)
 	s := &Server{
-		cfg:        cfg,
-		pool:       conc.NewPool(cfg.Workers, cfg.Reserved),
-		base:       base,
-		cancel:     cancel,
-		closing:    make(chan struct{}),
-		datasets:   make(map[string]*dsEntry),
-		synthLocks: make(map[string]*sync.Mutex),
+		cfg:      cfg,
+		base:     base,
+		cancel:   cancel,
+		closing:  make(chan struct{}),
+		warmSlot: make(chan struct{}, 1),
+		budget:   budget,
+		share:    warmShare(budget),
+		datasets: make(map[string]*dsEntry),
 	}
 	if cfg.DatasetTTL > 0 {
 		go s.janitor()
@@ -291,24 +278,21 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// synthLock returns the mutex serializing synthesis of the dataset file
-// at path. Locks are never removed: the map is bounded by the set of
-// distinct scenario paths ever registered.
-func (s *Server) synthLock(path string) *sync.Mutex {
-	s.synthMu.Lock()
-	defer s.synthMu.Unlock()
-	m := s.synthLocks[path]
-	if m == nil {
-		m = &sync.Mutex{}
-		s.synthLocks[path] = m
-	}
-	return m
+// warmShare is how many workers a warm streams with under a budget of
+// c: the budget less a quarter of it (at least one), and at least one.
+func warmShare(c int) int {
+	return max(1, c-max(1, c/4))
 }
 
-// PoolStats exposes the worker pool's capacity and in-flight high-water
-// mark: the budget-enforcement witness the concurrency tests assert.
+// PoolStats reports the warm budget and the most warm workers ever held
+// at once: the budget-enforcement witness the concurrency tests assert.
+// Warms run one at a time with a fixed share, so high is that share
+// once any warm has started, and 0 before.
 func (s *Server) PoolStats() (capacity, high int) {
-	return s.pool.Capacity(), s.pool.High()
+	if s.warmed.Load() {
+		high = s.share
+	}
+	return s.budget, high
 }
 
 // validName matches the scenario-name discipline: lowercase letters,
@@ -402,27 +386,26 @@ func (s *Server) register(name, source string) error {
 // the full suite over it, and materializes every query answer once —
 // the report markdown, the per-experiment texts, the §4 section, and
 // the network index — so the query path is pure immutable reads. ctx is
-// the warm's context: it cancels the pool wait, and every read of the
+// the warm's context: it cancels the slot wait, and every read of the
 // dataset file, so DELETE and an expired shutdown drain abort the
 // stream instead of waiting it out.
 func (s *Server) buildSnapshot(ctx context.Context, source string, gen int) (*Snapshot, error) {
-	// The pool wait additionally aborts when shutdown begins: a queued
-	// warm should unblock immediately, while already-streaming warms
-	// keep draining under the shutdown budget.
-	acqCtx, stopAcq := s.closingAware(ctx)
-	grant, err := s.pool.Heavy(acqCtx, 0)
-	stopAcq()
-	if err != nil {
-		if ctx.Err() == nil && s.isClosing() {
-			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		return nil, err
+	// The slot wait additionally aborts when shutdown begins: a queued
+	// warm should unblock immediately, while an already-streaming warm
+	// keeps draining under the shutdown budget.
+	select {
+	case s.warmSlot <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-s.closing:
+		return nil, fmt.Errorf("%w: warm still queued", ErrClosed)
 	}
-	defer s.pool.ReleaseHeavy(grant)
+	defer func() { <-s.warmSlot }()
+	s.warmed.Store(true)
 
 	path := source
 	ident := source
-	so := meshlab.StreamOptions{Workers: grant, Open: s.warmOpen(ctx)}
+	so := meshlab.StreamOptions{Workers: s.share, Open: s.warmOpen(ctx)}
 	if scen, ok := strings.CutPrefix(source, "scenario:"); ok {
 		sp, err := scenario.Resolve(scen)
 		if err != nil {
@@ -430,17 +413,14 @@ func (s *Server) buildSnapshot(ctx context.Context, source string, gen int) (*Sn
 		}
 		ident = "spec:" + sp.SHA256
 		// The e2e harness owns the synthesize-once discipline (its atomic
-		// save makes a present file a complete file); the per-path lock
-		// makes concurrent warms of one scenario share a single
-		// synthesis instead of racing to generate the same bytes. The
-		// streamed walk below still validates the file when the scenario
-		// is cache-validatable.
+		// save makes a present file a complete file), and the warm slot
+		// means a second warm of one scenario starts after the first has
+		// saved it, so both share one synthesis. The streamed walk below
+		// still validates the file when the scenario is
+		// cache-validatable.
 		h := e2e.New(s.cfg.Dir)
-		h.Workers = grant
-		lock := s.synthLock(h.DatasetPath(sp))
-		lock.Lock()
+		h.Workers = s.share
 		path, err = h.Synthesize(sp)
-		lock.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -635,30 +615,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cancel()
 		return ctx.Err()
 	}
-}
-
-// isClosing reports whether Shutdown has begun.
-func (s *Server) isClosing() bool {
-	select {
-	case <-s.closing:
-		return true
-	default:
-		return false
-	}
-}
-
-// closingAware derives a context that additionally cancels when
-// Shutdown begins — the pool-wait context for queued warms, which must
-// unblock immediately at shutdown while in-flight streams keep
-// draining. The returned stop releases the watcher goroutine.
-func (s *Server) closingAware(ctx context.Context) (context.Context, context.CancelFunc) {
-	c, cancel := context.WithCancel(ctx)
-	go func() {
-		select {
-		case <-s.closing:
-			cancel()
-		case <-c.Done():
-		}
-	}()
-	return c, cancel
 }

@@ -66,8 +66,8 @@ func (s *Server) retryBase() time.Duration {
 // concurrent retrying warms desynchronize deterministically.
 func warmBackoff(base time.Duration, k int, rng *rand.Rand) time.Duration {
 	d := base << uint(k)
-	if max := base << 6; d > max || d <= 0 {
-		d = max
+	if ceiling := base << 6; d > ceiling || d <= 0 {
+		d = ceiling
 	}
 	return d + time.Duration(rng.Int63n(int64(d)/2+1))
 }
@@ -90,7 +90,7 @@ func (s *Server) warm(ctx context.Context, cancel context.CancelFunc, d *dsEntry
 		snap, err := s.buildSnapshot(ctx, source, gen)
 		if err == nil {
 			took := time.Since(start)
-			s.lastWarmMillis.Store(max64(took.Milliseconds(), 1))
+			s.lastWarmMillis.Store(max(took.Milliseconds(), 1))
 			d.publish(gen, snap, took)
 			return
 		}
@@ -171,7 +171,7 @@ func (d *dsEntry) publish(gen int, snap *Snapshot, took time.Duration) {
 	d.warmErr = nil
 	d.nextRetry = time.Time{}
 	d.cancel = nil
-	d.lastWarmMillis = max64(took.Milliseconds(), 1)
+	d.lastWarmMillis = max(took.Milliseconds(), 1)
 	d.snap.Store(snap)
 	d.state = StateReady
 }
@@ -259,10 +259,3 @@ func (r *cancelReader) Seek(offset int64, whence int) (int64, error) {
 }
 
 func (r *cancelReader) Close() error { return r.inner.Close() }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
