@@ -1,5 +1,6 @@
-// headers_test.go pins the cache and Retry-After surface: not-ready
-// 503s advise retrying after the observed warm time, and the
+// headers_test.go pins the cache and Retry-After surface: a query never
+// waits for a worker slot, so a not-ready 503 comes back at once; not-
+// ready 503s advise retrying after the observed warm time; and the
 // pre-rendered text endpoints revalidate with strong ETags.
 
 package meshd
@@ -9,10 +10,90 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMeshdQueryDeadline503NoLeak holds the warm slot, so a dataset
+// registered behind it can only queue, and demands: a query on that
+// dataset answers a not-ready 503 with a numeric Retry-After inside a
+// short client deadline (queries take no slot, so nothing makes them
+// wait), a query on a ready dataset answers 200, and once the slot is
+// let go the queued warm finishes and leaves no slot held.
+func TestMeshdQueryDeadline503NoLeak(t *testing.T) {
+	dir, path := synthTiny(t)
+	s := New(Config{Dir: dir})
+	defer s.Shutdown(context.Background())
+	if err := s.RegisterPath("ready", path); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "ready")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if err := s.warmSlot.Acquire(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	held := true
+	defer func() {
+		if held {
+			s.warmSlot.Release()
+		}
+	}()
+	if err := s.RegisterPath("queued", path); err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(name string) (*http.Response, string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/datasets/"+name+"/report", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v (a query waited on the held warm slot?)", name, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(body)
+	}
+	for range 3 {
+		resp, body := get("queued")
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("queued dataset answered %d: %s", resp.StatusCode, body)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("not-ready Retry-After %q, want an integer ≥ 1", resp.Header.Get("Retry-After"))
+		}
+		if resp, body := get("ready"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ready dataset answered %d while the warm slot was held: %s", resp.StatusCode, body)
+		}
+	}
+	if n := s.warmSlot.InFlight(); n != 1 {
+		t.Fatalf("%d warm slots held by the test alone, want 1 (a query took one?)", n)
+	}
+
+	s.warmSlot.Release()
+	held = false
+	waitReady(t, s, "queued")
+	if n := s.warmSlot.InFlight(); n != 0 {
+		t.Fatalf("%d warm slots still held after the queued warm finished", n)
+	}
+	if capacity, high := s.PoolStats(); high > capacity || high == 0 {
+		t.Fatalf("PoolStats high-water %d, want 1..%d", high, capacity)
+	}
+	if resp, body := get("queued"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("queued dataset after its warm: %d %s", resp.StatusCode, body)
+	}
+}
 
 // TestCeilSeconds pins the Retry-After arithmetic: whole seconds,
 // rounded up, floor 1.

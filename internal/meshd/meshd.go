@@ -145,9 +145,9 @@ type Server struct {
 	// (then s.cancel hard-cancels their streams).
 	closing chan struct{}
 
-	// warmSlot holds one token while a warm streams, so warms run one
-	// at a time.
-	warmSlot chan struct{}
+	// warmSlot is the one slot a warm holds while it streams, so warms
+	// run one at a time.
+	warmSlot conc.Slots
 	// budget is the resolved Config.Workers; share is warmShare(budget),
 	// the workers each warm streams with.
 	budget, share int
@@ -267,7 +267,7 @@ func New(cfg Config) *Server {
 		base:     base,
 		cancel:   cancel,
 		closing:  make(chan struct{}),
-		warmSlot: make(chan struct{}, 1),
+		warmSlot: conc.NewSlots(1),
 		budget:   budget,
 		share:    warmShare(budget),
 		datasets: make(map[string]*dsEntry),
@@ -393,14 +393,13 @@ func (s *Server) buildSnapshot(ctx context.Context, source string, gen int) (*Sn
 	// The slot wait additionally aborts when shutdown begins: a queued
 	// warm should unblock immediately, while an already-streaming warm
 	// keeps draining under the shutdown budget.
-	select {
-	case s.warmSlot <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.closing:
-		return nil, fmt.Errorf("%w: warm still queued", ErrClosed)
+	if err := s.warmSlot.Acquire(ctx, s.closing); err != nil {
+		if errors.Is(err, conc.ErrAborted) {
+			return nil, fmt.Errorf("%w: warm still queued", ErrClosed)
+		}
+		return nil, err
 	}
-	defer func() { <-s.warmSlot }()
+	defer s.warmSlot.Release()
 	s.warmed.Store(true)
 
 	path := source
